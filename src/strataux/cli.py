@@ -13,6 +13,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import asdict
 from typing import Optional, Sequence
@@ -24,6 +25,7 @@ from .data_model import (
     PopulationSummary,
     SampleDesign,
     ValidationError,
+    decode_json,
     parse_microdata,
     parse_summary,
     reconcile_covariances,
@@ -33,9 +35,8 @@ from .efficiency import dominance_report, pre_table, reproduce_kk2009
 from .estimators import ESTIMATOR_ORDER
 from .moments import moment_set
 from .monte_carlo import (
-    GENERATOR_NAME,
     generate_population,
-    parse_generator_config,
+    generator_config,
     run_simulation,
 )
 from .mse_theory import classic_breakdown, min_mse_tp, mse_tp, optimal_m, tp_diagnostics
@@ -66,15 +67,42 @@ def _table(header: list[str], rows: list[list[str]]) -> str:
     return "\n".join(lines)
 
 
-def _csv_block(header: list[str], rows: list[list[object]], footer: dict) -> str:
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(header)
-    for row in rows:
-        w.writerow(["" if c is None else c for c in row])
-    for k, v in footer.items():
-        buf.write(f"# {k}: {v}\n")
-    return buf.getvalue()
+def _json_safe(obj):
+    """obj with every non-finite float replaced by None (JSON null)."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _json_safe(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_safe(v) for v in obj]
+    return obj
+
+
+def _emit(fmt: str, doc: dict, header: list[str], rows: list[list], footer: dict,
+          before: Sequence[str] = (), after: Sequence[str] = (),
+          csv_footer: Optional[dict] = None) -> int:
+    """Print one command's result and return its exit code.
+
+    json prints doc, non-finite floats as null; csv prints the rows with
+    full precision and then the footer (csv_footer when given) as comment
+    lines; text prints the before lines, the rows as a table of 6
+    significant digits, the after lines and the footer.
+    """
+    if fmt == "json":
+        print(json.dumps(_json_safe(doc), indent=2, allow_nan=False))
+    elif fmt == "csv":
+        buf = io.StringIO()
+        w = csv.writer(buf, lineterminator="\n")
+        w.writerow(header)
+        for row in rows:
+            w.writerow(["" if c is None else c for c in row])
+        for k, v in (csv_footer or footer).items():
+            buf.write(f"# {k}: {v}\n")
+        print(buf.getvalue(), end="")
+    else:
+        table = _table(header, [[c if isinstance(c, str) else _fmt(c) for c in r] for r in rows])
+        print("\n".join([*before, table, *after, *(f"# {k}: {v}" for k, v in footer.items())]))
+    return 0
 
 
 def _read_file(path: str) -> str:
@@ -114,44 +142,26 @@ def _provenance(args, extra: Optional[dict] = None) -> dict:
     return out
 
 
-def _emit_footer(footer: dict) -> str:
-    return "\n".join(f"# {k}: {v}" for k, v in footer.items())
-
-
 def _cmd_moments(args) -> int:
     pop, repaired = _load_summary(args.input, args.policy)
-    design = _parse_design(args.design)
-    m = moment_set(pop, design)
+    m = moment_set(pop, _parse_design(args.design))
     footer = _provenance(args, {"repaired_pairs": repaired})
-    if args.format == "json":
-        print(json.dumps({"command": "moments", "moments": asdict(m),
-                          "provenance": footer}, indent=2))
-        return 0
     names = ("v200", "v020", "v002", "v110", "v101", "v011",
              "ybar", "xbar", "zbar", "b1", "b2")
-    rows = [[n, getattr(m, n)] for n in names]
-    rows.append(["census", m.census])
-    if args.format == "csv":
-        print(_csv_block(["quantity", "value"], rows, footer), end="")
-        return 0
-    print(_table(["quantity", "value"], [[n, _fmt(v)] for n, v in rows]))
-    for w in m.warnings:
-        print(f"warning: {w}")
-    print(_emit_footer(footer))
-    return 0
+    rows = [[n, getattr(m, n)] for n in names] + [["census", m.census]]
+    doc = {"command": "moments", "moments": asdict(m), "provenance": footer}
+    return _emit(args.format, doc, ["quantity", "value"], rows, footer,
+                 after=[f"warning: {w}" for w in m.warnings])
 
 
 def _cmd_mse(args) -> int:
     pop, repaired = _load_summary(args.input, args.policy)
-    design = _parse_design(args.design)
-    m = moment_set(pop, design)
+    m = moment_set(pop, _parse_design(args.design))
     m1s, m2s = optimal_m(m)
-    breakdowns = []
-    for e in ESTIMATOR_ORDER:
-        if e == "exp_regression":
-            breakdowns.append(min_mse_tp(m))
-        else:
-            breakdowns.append(classic_breakdown(e, m))
+    breakdowns = [
+        min_mse_tp(m) if e == "exp_regression" else classic_breakdown(e, m)
+        for e in ESTIMATOR_ORDER
+    ]
     if args.m1 is not None or args.m2 is not None:
         if args.m1 is None or args.m2 is None:
             raise InputError("--m1 and --m2 must be given together")
@@ -162,39 +172,33 @@ def _cmd_mse(args) -> int:
         args.m2 if args.m2 is not None else m2s,
     )
     footer = _provenance(args, {"repaired_pairs": repaired})
-    if args.format == "json":
-        print(json.dumps({
-            "command": "mse",
-            "rows": [asdict(b) for b in breakdowns],
-            "optimal": {"m1": m1s, "m2": m2s},
-            "diagnostics": asdict(diag),
-            "provenance": footer,
-        }, indent=2))
-        return 0
+    doc = {
+        "command": "mse",
+        "rows": [asdict(b) for b in breakdowns],
+        "optimal": {"m1": m1s, "m2": m2s},
+        "diagnostics": asdict(diag),
+        "provenance": footer,
+    }
     header = ["estimator", "mse", "m1", "m2", "bias", "warning"]
     rows = [[b.estimator, b.mse, b.m1, b.m2, b.bias, b.warning or ""] for b in breakdowns]
-    if args.format == "csv":
-        footer = dict(footer, m1_opt=m1s, m2_opt=m2s)
-        print(_csv_block(header, rows, footer), end="")
-        return 0
-    print(_table(header, [[_fmt(c) if not isinstance(c, str) else c for c in r] for r in rows]))
-    print(f"optimal tuning: m1* = {_fmt(m1s)}, m2* = {_fmt(m2s)}")
-    print("diagnostics (implemented vs as-printed):")
-    print(f"  at m1 = {_fmt(diag.m1)}, m2 = {_fmt(diag.m2)}")
-    print(f"  mse implemented {_fmt(diag.implemented_mse)}  as-printed {_fmt(diag.printed_mse)}")
-    print(f"  p1 implemented {_fmt(diag.p1)}  as-printed {_fmt(diag.printed_p1)}")
-    print(f"  p2 implemented {_fmt(diag.p2)}  as-printed {_fmt(diag.printed_p2)}")
-    print(f"  p3 implemented {_fmt(diag.p3)}  as-printed {_fmt(diag.printed_p3)}")
-    print(f"  optimum solved ({_fmt(diag.solved_m1)}, {_fmt(diag.solved_m2)})"
-          f"  as-printed closed form ({_fmt(diag.printed_m1)}, {_fmt(diag.printed_m2)})")
-    print(_emit_footer(footer))
-    return 0
+    after = [
+        f"optimal tuning: m1* = {_fmt(m1s)}, m2* = {_fmt(m2s)}",
+        "diagnostics (implemented vs as-printed):",
+        f"  at m1 = {_fmt(diag.m1)}, m2 = {_fmt(diag.m2)}",
+        f"  mse implemented {_fmt(diag.implemented_mse)}  as-printed {_fmt(diag.printed_mse)}",
+        f"  p1 implemented {_fmt(diag.p1)}  as-printed {_fmt(diag.printed_p1)}",
+        f"  p2 implemented {_fmt(diag.p2)}  as-printed {_fmt(diag.printed_p2)}",
+        f"  p3 implemented {_fmt(diag.p3)}  as-printed {_fmt(diag.printed_p3)}",
+        f"  optimum solved ({_fmt(diag.solved_m1)}, {_fmt(diag.solved_m2)})"
+        f"  as-printed closed form ({_fmt(diag.printed_m1)}, {_fmt(diag.printed_m2)})",
+    ]
+    return _emit(args.format, doc, header, rows, footer, after=after,
+                 csv_footer=dict(footer, m1_opt=m1s, m2_opt=m2s))
 
 
 def _cmd_pre(args) -> int:
     pop, repaired = _load_summary(args.input, args.policy)
-    design = _parse_design(args.design)
-    m = moment_set(pop, design)
+    m = moment_set(pop, _parse_design(args.design))
     report = pre_table(m, provenance=f"policy={args.policy}")
     dom = dominance_report(m) if not m.census else ()
     footer = _provenance(args, {
@@ -202,43 +206,36 @@ def _cmd_pre(args) -> int:
         "m1_opt": _fmt(report.m1_opt),
         "m2_opt": _fmt(report.m2_opt),
     })
-    if args.format == "json":
-        print(json.dumps({
-            "command": "pre",
-            "rows": [asdict(r) for r in report.rows],
-            "dominance": [asdict(d) for d in dom],
-            "m1_opt": report.m1_opt, "m2_opt": report.m2_opt,
-            "provenance": footer,
-        }, indent=2))
-        return 0
+    doc = {
+        "command": "pre",
+        "rows": [asdict(r) for r in report.rows],
+        "dominance": [asdict(d) for d in dom],
+        "m1_opt": report.m1_opt, "m2_opt": report.m2_opt,
+        "provenance": footer,
+    }
     header = ["estimator", "mse", "pre", "rank", "delta_vs_tuned", "warning"]
     rows = [
         [r.estimator, r.mse, r.pre, r.rank, r.delta_vs_tuned, r.warning]
         for r in report.rows
     ]
-    if args.format == "csv":
-        print(_csv_block(header, rows, footer), end="")
-        return 0
-    print(_table(header, [[_fmt(c) if not isinstance(c, str) else c for c in r] for r in rows]))
-    print(_emit_footer(footer))
-    return 0
+    return _emit(args.format, doc, header, rows, footer)
 
 
 def _load_simulation_population(path: str) -> tuple[Microdata, tuple[str, ...]]:
     text = _read_file(path)
-    if text.lstrip().startswith("{"):
-        head = json.loads(text) if text.lstrip().startswith("{") else {}
-        strata = head.get("strata") if isinstance(head, dict) else None
-        if isinstance(strata, list) and strata and isinstance(strata[0], dict) \
-                and "mean_y" in strata[0]:
-            cfg = parse_generator_config(text)
-            micro, _ = generate_population(cfg)
-            return micro, (f"population generated from config, seed {cfg.seed}",)
+    if not text.lstrip().startswith("{"):
+        return parse_microdata(text), ()
+    doc = decode_json(text, "generator config")
+    strata = doc.get("strata")
+    if not (isinstance(strata, list) and strata and isinstance(strata[0], dict)
+            and "mean_y" in strata[0]):
         raise InputError(
             "simulate needs microdata (csv) or a generator config (json with "
             "mean/sd/rho targets); a summary document cannot be sampled from"
         )
-    return parse_microdata(text), ()
+    cfg = generator_config(doc)
+    micro, _ = generate_population(cfg)
+    return micro, (f"population generated from config, seed {cfg.seed}",)
 
 
 def _cmd_simulate(args) -> int:
@@ -256,14 +253,12 @@ def _cmd_simulate(args) -> int:
         "seed": report.seed, "R": report.R, "generator": report.generator,
         "fingerprint": report.fingerprint,
     })
-    if args.format == "json":
-        print(json.dumps({
-            "command": "simulate",
-            "report": asdict(report),
-            "pre_notes": list(notes),
-            "provenance": footer,
-        }, indent=2))
-        return 0
+    doc = {
+        "command": "simulate",
+        "report": asdict(report),
+        "pre_notes": list(notes),
+        "provenance": footer,
+    }
     header = ["estimator", "m1", "m2", "emp_mean", "emp_bias", "emp_mse",
               "theory_mse", "rel_gap", "nonfinite"]
     rows = [
@@ -271,17 +266,10 @@ def _cmd_simulate(args) -> int:
          r.theory_mse, r.rel_gap, r.nonfinite]
         for r in report.rows
     ]
-    if args.format == "csv":
-        print(_csv_block(header, rows, footer), end="")
-        return 0
-    for note in notes:
-        print(f"note: {note}")
-    print(_table(header, [[_fmt(c) if not isinstance(c, str) else c for c in r] for r in rows]))
-    print(f"true mean: {_fmt(report.ybar)}  design: {','.join(map(str, report.design))}")
-    for note in report.notes:
-        print(f"note: {note}")
-    print(_emit_footer(footer))
-    return 0
+    after = [f"true mean: {_fmt(report.ybar)}  design: {','.join(map(str, report.design))}"]
+    after += [f"note: {note}" for note in report.notes]
+    return _emit(args.format, doc, header, rows, footer,
+                 before=[f"note: {note}" for note in notes], after=after)
 
 
 def _cmd_reproduce(args) -> int:
@@ -290,42 +278,36 @@ def _cmd_reproduce(args) -> int:
         "policy": "prefer-correlation (headline) and prefer-covariance (side column)",
         "formulas": "implemented (as-printed variants appear only under diagnostics)",
     }
-    if args.format == "json":
-        print(json.dumps({
-            "command": "reproduce-kk2009",
-            "rows": [asdict(r) for r in report.rows],
-            "repairs_correlation": [asdict(e) for e in report.repairs_correlation.repaired],
-            "repairs_covariance": [asdict(e) for e in report.repairs_covariance.repaired],
-            "published_ranking": list(report.published_ranking),
-            "computed_ranking": list(report.computed_ranking),
-            "m1_opt": report.m1_opt, "m2_opt": report.m2_opt,
-            "notes": list(report.notes),
-            "provenance": footer,
-        }, indent=2))
-        return 0
+    doc = {
+        "command": "reproduce-kk2009",
+        "rows": [asdict(r) for r in report.rows],
+        "repairs_correlation": [asdict(e) for e in report.repairs_correlation.repaired],
+        "repairs_covariance": [asdict(e) for e in report.repairs_covariance.repaired],
+        "published_ranking": list(report.published_ranking),
+        "computed_ranking": list(report.computed_ranking),
+        "m1_opt": report.m1_opt, "m2_opt": report.m2_opt,
+        "notes": list(report.notes),
+        "provenance": footer,
+    }
     header = ["estimator", "published", "computed", "delta", "pub_rank",
               "rank", "flag", "pre_covariance", "note"]
-    rows = []
-    for r in report.rows:
-        rows.append([
-            r.estimator, r.published_pre, r.pre, r.delta, r.published_rank,
-            r.rank, "RANK-MISMATCH" if r.rank_mismatch else "",
-            r.pre_covariance, r.covariance_note,
-        ])
-    if args.format == "csv":
-        print(_csv_block(header, rows, footer), end="")
-        return 0
-    print("PRE reproduction, embedded six-stratum dataset")
-    print(_table(header, [[_fmt(c) if not isinstance(c, str) else c for c in r] for r in rows]))
-    print(f"tuned optimum: m1* = {_fmt(report.m1_opt)}, m2* = {_fmt(report.m2_opt)}")
-    print("published ranking: " + " > ".join(report.published_ranking))
-    print("computed ranking:  " + " > ".join(report.computed_ranking))
+    rows = [
+        [r.estimator, r.published_pre, r.pre, r.delta, r.published_rank,
+         r.rank, "RANK-MISMATCH" if r.rank_mismatch else "",
+         r.pre_covariance, r.covariance_note]
+        for r in report.rows
+    ]
+    after = [
+        f"tuned optimum: m1* = {_fmt(report.m1_opt)}, m2* = {_fmt(report.m2_opt)}",
+        "published ranking: " + " > ".join(report.published_ranking),
+        "computed ranking:  " + " > ".join(report.computed_ranking),
+    ]
     for title, rep in (
         ("prefer-correlation", report.repairs_correlation),
         ("prefer-covariance", report.repairs_covariance),
     ):
         entries = rep.repaired + tuple(e for e in rep.flagged if not e.repaired)
-        print(f"repair log ({title}): {len(entries)} entr{'y' if len(entries) == 1 else 'ies'}")
+        after.append(f"repair log ({title}): {len(entries)} entr{'y' if len(entries) == 1 else 'ies'}")
         for e in entries:
             what = (
                 f"cov {_fmt(e.cov_before)} -> {_fmt(e.cov_after)}"
@@ -333,11 +315,10 @@ def _cmd_reproduce(args) -> int:
                 else f"rho {_fmt(e.rho_before)} -> {_fmt(e.rho_after)}"
             )
             tail = f" ({e.note})" if e.note else ""
-            print(f"  stratum {e.h} {e.pair}: {what}, discrepancy {_fmt(e.discrepancy)}{tail}")
-    for note in report.notes:
-        print(f"note: {note}")
-    print(_emit_footer(footer))
-    return 0
+            after.append(f"  stratum {e.h} {e.pair}: {what}, discrepancy {_fmt(e.discrepancy)}{tail}")
+    after += [f"note: {note}" for note in report.notes]
+    return _emit(args.format, doc, header, rows, footer,
+                 before=["PRE reproduction, embedded six-stratum dataset"], after=after)
 
 
 def _add_common(p: argparse.ArgumentParser, need_input: bool = True) -> None:
@@ -376,7 +357,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0, help="master seed")
     p.add_argument("--m1", type=float, default=None, help="fixed tuning for exp_regression")
     p.add_argument("--m2", type=float, default=None)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted for compatibility, no effect: replicates run "
+                        "serially in fixed blocks")
     p.add_argument("--estimators", default="",
                    help="comma list, default all: " + ",".join(ESTIMATOR_ORDER))
     p.set_defaults(func=_cmd_simulate)

@@ -15,7 +15,10 @@ import io
 import json
 import math
 from dataclasses import dataclass, fields
-from typing import Optional
+from functools import cached_property
+from typing import Optional, Sequence
+
+import numpy as np
 
 # A covariance/correlation pair is considered consistent when the relative
 # discrepancy |s_ab - rho_ab*s_a*s_b| / (s_a*s_b) stays within this bound.
@@ -180,6 +183,12 @@ class Microdata:
     def n_records(self) -> int:
         return sum(self.sizes)
 
+    @cached_property
+    def arrays(self) -> tuple[np.ndarray, ...]:
+        """Each stratum's records as an (N_h, 3) float64 array, built on
+        first use and kept."""
+        return tuple(np.asarray(g, dtype=np.float64) for g in self.groups)
+
 
 @dataclass(frozen=True)
 class StratifiedSample:
@@ -261,26 +270,40 @@ def summarize(micro: Microdata) -> PopulationSummary:
     result needs no reconciliation. Compensated summation is used so that
     recomputing summaries from the same finite data is exact.
     """
+    return _summarize_arrays(micro.labels, micro.arrays)
+
+
+# (i, j) column pairs of the squared deviations and the cross products
+_PRODUCTS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+
+
+def _summarize_arrays(labels: Sequence[str], arrays: Sequence[np.ndarray]) -> PopulationSummary:
+    """summarize() over one (N_h, 3) float64 array of (y, x, z) per stratum.
+
+    Deviations and their products are formed elementwise in numpy and
+    summed with math.fsum: the same IEEE operations as a pure-Python loop,
+    so the summaries are bit-identical to it.
+    """
+    i, j = np.array(_PRODUCTS).T
     strata = []
-    for idx, (label, obs) in enumerate(zip(micro.labels, micro.groups), start=1):
-        N = len(obs)
-        cols = tuple(list(col) for col in zip(*obs))
-        means = [math.fsum(c) / N for c in cols]
-        devs = [[v - m for v in c] for c, m in zip(cols, means)]
-        var = [math.fsum(d * d for d in dv) / (N - 1) for dv in devs]
-        sd = [math.sqrt(v) for v in var]
+    for idx, (label, vals) in enumerate(zip(labels, arrays), start=1):
+        N = len(vals)
+        cols = vals.T
+        means = [math.fsum(c) / N for c in cols.tolist()]
+        devs = cols - np.array(means)[:, None]
+        sums = [math.fsum(p) / (N - 1) for p in (devs[i] * devs[j]).tolist()]
+        sd = [math.sqrt(v) for v in sums[:3]]
         for name, s in zip(("y", "x", "z"), sd):
             if s == 0.0:
                 raise InputError(
                     f"stratum {label!r}: zero variance in {name}; correlations undefined"
                 )
-        cov = {}
-        rho = {}
-        for pair, (i, j) in (("yx", (0, 1)), ("yz", (0, 2)), ("xz", (1, 2))):
-            c = math.fsum(a * b for a, b in zip(devs[i], devs[j])) / (N - 1)
-            cov[pair] = c
-            # clamp pure roundoff excursions beyond +-1
-            rho[pair] = max(-1.0, min(1.0, c / (sd[i] * sd[j])))
+        cov = dict(zip(_PAIRS, sums[3:]))
+        # clamp pure roundoff excursions beyond +-1
+        rho = {
+            pair: max(-1.0, min(1.0, cov[pair] / (sd[a] * sd[b])))
+            for pair, (a, b) in zip(_PAIRS, _PRODUCTS[3:])
+        }
         strata.append(
             StratumSummary(
                 h=idx, N=N,
@@ -453,46 +476,67 @@ _REQUIRED_FIELDS = tuple(
 _OPTIONAL_FIELDS = ("beta2_y", "beta2_x", "beta2_z", "label")
 
 
-def parse_summary(text: str) -> PopulationSummary:
-    """Parse a JSON summary document with a top-level ``strata`` list."""
+def decode_json(text: str, what: str):
+    """json.loads, with a decoding error reported as an InputError."""
     try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise InputError(f"invalid summary document: {e}") from None
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as e:  # too deeply nested
+        raise InputError(f"invalid {what}: {e}") from None
+
+
+def document_entries(
+    doc, what: str, entry: str, top: Sequence[str], required: Sequence[str],
+    optional: Sequence[str] = (), integers: Sequence[str] = (),
+) -> list[dict]:
+    """Check a decoded document and return its strata as keyword arguments.
+
+    The document must be an object with no top-level field outside top and
+    a 'strata' list of objects. Each object needs every required field and
+    nothing outside required + optional; fields named in integers hold
+    integers, label holds a string or null, and the rest hold numbers.
+    """
     if not isinstance(doc, dict):
-        raise InputError("summary document must be an object")
-    unknown = set(doc) - {"strata"}
+        raise InputError(f"{what} must be an object")
+    unknown = set(doc) - set(top)
     if unknown:
         raise InputError(f"unknown top-level field(s): {sorted(unknown)}")
-    if "strata" not in doc or not isinstance(doc["strata"], list):
-        raise InputError("summary document needs a 'strata' list")
-
-    strata = []
+    if not isinstance(doc.get("strata"), list):
+        raise InputError(f"{what} needs a 'strata' list")
+    entries = []
     for i, item in enumerate(doc["strata"], start=1):
+        where = f"{entry} {i}"
         if not isinstance(item, dict):
-            raise InputError(f"stratum entry {i} must be an object")
-        bad = set(item) - set(_REQUIRED_FIELDS) - set(_OPTIONAL_FIELDS)
+            raise InputError(f"{where} must be an object")
+        bad = set(item) - set(required) - set(optional)
         if bad:
-            raise InputError(f"unknown field(s) {sorted(bad)} in stratum entry {i}")
-        missing = set(_REQUIRED_FIELDS) - set(item)
+            raise InputError(f"unknown field(s) {sorted(bad)} in {where}")
+        missing = set(required) - set(item)
         if missing:
-            raise InputError(f"missing field(s) {sorted(missing)} in stratum entry {i}")
+            raise InputError(f"missing field(s) {sorted(missing)} in {where}")
         kw = {}
         for name, value in item.items():
             if name == "label":
                 if value is not None and not isinstance(value, str):
-                    raise InputError(f"stratum entry {i}: label must be a string")
-                kw[name] = value
-            elif name in ("h", "N"):
+                    raise InputError(f"{where}: label must be a string")
+            elif name in integers:
                 if isinstance(value, bool) or not isinstance(value, int):
-                    raise InputError(f"stratum entry {i}: {name} must be an integer")
-                kw[name] = value
+                    raise InputError(f"{where}: {name} must be an integer")
+            elif isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise InputError(f"{where}: {name} must be a number")
             else:
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise InputError(f"stratum entry {i}: {name} must be a number")
-                kw[name] = float(value)
-        strata.append(StratumSummary(**kw))
-    return PopulationSummary(strata=tuple(strata))
+                value = float(value)
+            kw[name] = value
+        entries.append(kw)
+    return entries
+
+
+def parse_summary(text: str) -> PopulationSummary:
+    """Parse a JSON summary document with a top-level ``strata`` list."""
+    entries = document_entries(
+        decode_json(text, "summary document"), "summary document", "stratum entry",
+        ("strata",), _REQUIRED_FIELDS, _OPTIONAL_FIELDS, integers=("h", "N"),
+    )
+    return PopulationSummary(strata=tuple(StratumSummary(**kw) for kw in entries))
 
 
 def summary_to_json(summary: PopulationSummary, indent: int | None = 2) -> str:

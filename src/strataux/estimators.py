@@ -20,7 +20,9 @@ mixed forms, and m1 = m2 = 0 gives the regression estimator.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Optional, Sequence
+
+import numpy as np
 
 from .data_model import (
     InputError,
@@ -101,54 +103,61 @@ def sample_regression_coeffs(
     return math.fsum(num1) / d1, math.fsum(num2) / d2
 
 
-def _estimate_from_means(
-    estimator: str,
-    ybar_st: float,
-    xbar_st: float,
-    zbar_st: float,
+# Each estimator as a point of the tuned family
+#   ybar_st * exp(m1*u) * exp(m2*v) [+ b1*(Xbar - xbar_st) + b2*(Zbar - zbar_st)]
+# with u = (Xbar - xbar_st)/(Xbar + xbar_st) and v likewise in z, given as
+# (m1, m2, slopes); None marks an absent factor. The point estimates and the
+# first-order MSEs both read this table. ratio is evaluated exactly as
+# ybar_st*Xbar/xbar_st, which agrees with m1 = 2 to first order;
+# exp_regression takes its exponents from the caller.
+FAMILY = {
+    "mean": (None, None, False),
+    "ratio": (2.0, None, False),
+    "exp_ratio_x": (1.0, None, False),
+    "exp_ratio_xz": (1.0, 1.0, False),
+    "exp_product_xz": (-1.0, -1.0, False),
+    "exp_ratio_x_product_z": (1.0, -1.0, False),
+    "exp_product_x_ratio_z": (-1.0, 1.0, False),
+    "regression": (None, None, True),
+}
+
+
+def estimate_rows(
+    rows: Sequence[tuple[str, Optional[float], Optional[float]]],
+    ybar_st: np.ndarray,
+    xbar_st: np.ndarray,
+    zbar_st: np.ndarray,
     xbar: float,
     zbar: float,
-    b1: float,
-    b2: float,
-    m1: float,
-    m2: float,
-) -> float:
-    """Scalar estimator formulas; exponent overflow comes back as nan."""
-    if estimator == "mean":
-        return ybar_st
-    if estimator == "ratio":
-        if xbar_st == 0.0:
-            raise NumericalError("ratio estimator undefined: sample x mean is zero")
-        return ybar_st * xbar / xbar_st
-    if estimator == "regression":
-        return ybar_st + b1 * (xbar - xbar_st) + b2 * (zbar - zbar_st)
+    b1: np.ndarray,
+    b2: np.ndarray,
+) -> np.ndarray:
+    """Evaluate (estimator, m1, m2) rows over a batch of replicate means.
 
-    if xbar + xbar_st == 0.0:
-        raise NumericalError("exponential adjustment undefined: Xbar + xbar_st is zero")
-    if estimator not in ("exp_ratio_x",) and zbar + zbar_st == 0.0:
-        raise NumericalError("exponential adjustment undefined: Zbar + zbar_st is zero")
-    u = (xbar - xbar_st) / (xbar + xbar_st)
-    v = (zbar - zbar_st) / (zbar + zbar_st) if estimator != "exp_ratio_x" else 0.0
-    try:
-        if estimator == "exp_ratio_x":
-            return ybar_st * math.exp(u)
-        if estimator == "exp_ratio_xz":
-            return ybar_st * math.exp(u) * math.exp(v)
-        if estimator == "exp_product_xz":
-            return ybar_st * math.exp(-u) * math.exp(-v)
-        if estimator == "exp_ratio_x_product_z":
-            return ybar_st * math.exp(u) * math.exp(-v)
-        if estimator == "exp_product_x_ratio_z":
-            return ybar_st * math.exp(-u) * math.exp(v)
-        if estimator == "exp_regression":
-            return (
-                ybar_st * math.exp(m1 * u) * math.exp(m2 * v)
-                + b1 * (xbar - xbar_st)
-                + b2 * (zbar - zbar_st)
-            )
-    except OverflowError:
-        return math.nan
-    raise InputError(f"unknown estimator {estimator!r}")
+    The means and slopes are arrays of shape (B,); the result has shape
+    (len(rows), B). Nothing raises: a zero denominator or an overflowing
+    exponent gives inf or nan, and an exponential factor whose
+    Xbar + xbar_st (or Zbar + zbar_st) is zero is nan.
+    """
+    out = np.empty((len(rows), len(ybar_st)))
+    with np.errstate(all="ignore"):
+        dx, dz = xbar - xbar_st, zbar - zbar_st
+        u = np.where(xbar + xbar_st != 0.0, dx / (xbar + xbar_st), np.nan)
+        v = np.where(zbar + zbar_st != 0.0, dz / (zbar + zbar_st), np.nan)
+        for j, (estimator, m1, m2) in enumerate(rows):
+            if estimator == "ratio":
+                out[j] = ybar_st * xbar / xbar_st
+                continue
+            e1, e2, slopes = FAMILY.get(estimator, (m1, m2, True))
+            value = ybar_st
+            if e1 is not None:
+                value = value * np.exp(e1 * u)
+            if e2 is not None:
+                value = value * np.exp(e2 * v)
+            if slopes:
+                value = value + b1 * dx + b2 * dz
+            out[j] = value
+    return out
 
 
 def point_estimate(
@@ -178,18 +187,19 @@ def point_estimate(
         raise InputError(f"b1/b2 are not parameters of {estimator!r}")
 
     ybar_st, xbar_st, zbar_st = stratified_means(sample, pop)
+    if estimator == "ratio" and xbar_st == 0.0:
+        raise NumericalError("ratio estimator undefined: sample x mean is zero")
     if estimator in _NEEDS_SLOPES and (b1 is None or b2 is None):
         sb1, sb2 = sample_regression_coeffs(sample, pop)
         b1 = sb1 if b1 is None else b1
         b2 = sb2 if b2 is None else b2
 
-    value = _estimate_from_means(
-        estimator, ybar_st, xbar_st, zbar_st, pop.xbar, pop.zbar,
-        b1 if b1 is not None else 0.0,
-        b2 if b2 is not None else 0.0,
-        m1 if m1 is not None else 0.0,
-        m2 if m2 is not None else 0.0,
-    )
+    value = float(estimate_rows(
+        ((estimator, m1, m2),), np.array([ybar_st]), np.array([xbar_st]),
+        np.array([zbar_st]), pop.xbar, pop.zbar,
+        np.array([b1 if b1 is not None else 0.0]),
+        np.array([b2 if b2 is not None else 0.0]),
+    )[0, 0])
     if not math.isfinite(value):
         raise NumericalError(f"estimator {estimator!r} produced a non-finite value")
     return value

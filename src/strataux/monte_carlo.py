@@ -10,14 +10,13 @@ generator keyed by the pair (master_seed, stream_id). Stream ids 0..R-1
 belong to the replications, one per replication index; population
 generation for stratum h uses stream id 2^63 + h, a disjoint namespace.
 Replications are therefore independent, order-free, and reproducible:
-serial and parallel runs produce bit-identical reports.
+reports depend neither on the simulator's block size nor on the ignored
+worker count, and any replicate can be re-drawn alone with draw_sample.
 """
 from __future__ import annotations
 
 import hashlib
-import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -31,23 +30,26 @@ from .data_model import (
     SampleDesign,
     StratifiedSample,
     ValidationError,
+    _summarize_arrays,
+    decode_json,
+    document_entries,
     summarize,
 )
-from .estimators import ESTIMATOR_ORDER, _estimate_from_means
+from .estimators import ESTIMATOR_ORDER, estimate_rows
 from .moments import moment_set
 from .mse_theory import mse_classic, mse_tp, optimal_m, variance_mean
 
 _MASK64 = (1 << 64) - 1
 _POP_STREAM_BASE = 1 << 63
 GENERATOR_NAME = "philox4x64"
+# replicates per simulation block, fewer when that many would sample more
+# than _BLOCK_UNITS units: bounds the kernel's memory; results do not depend
+# on it
+_BLOCK = 128
+_BLOCK_UNITS = 1 << 16
 
 # a run fails when any estimator's non-finite replication share exceeds this
 NONFINITE_LIMIT = 0.001
-
-
-def _rng(master_seed: int, stream: int) -> np.random.Generator:
-    key = np.array([master_seed & _MASK64, stream & _MASK64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
 
 
 @dataclass(frozen=True)
@@ -96,8 +98,7 @@ def generate_population(cfg: PopulationConfig) -> tuple[Microdata, PopulationSum
     each stratum's target correlation matrix. The returned summary is
     computed from the realized values, not the targets.
     """
-    labels = []
-    groups = []
+    labels, arrays = [], []
     for h, s in enumerate(cfg.strata, start=1):
         corr = np.array(
             [
@@ -112,23 +113,27 @@ def generate_population(cfg: PopulationConfig) -> tuple[Microdata, PopulationSum
             raise InputError(
                 f"stratum {h}: correlation matrix is not positive definite"
             ) from None
-        rng = _rng(cfg.seed, _POP_STREAM_BASE + h)
-        raw = rng.standard_normal((s.N, 3))
+        key = np.array([cfg.seed & _MASK64, _POP_STREAM_BASE + h], dtype=np.uint64)
+        raw = np.random.Generator(np.random.Philox(key=key)).standard_normal((s.N, 3))
         vals = raw @ chol.T
         vals *= np.array([s.sd_y, s.sd_x, s.sd_z])
         vals += np.array([s.mean_y, s.mean_x, s.mean_z])
-        for k, name in enumerate(("y", "x", "z")):
-            mean_k = float(vals[:, k].mean())
-            sd_k = float(vals[:, k].std())
-            if mean_k <= 0.0 or mean_k <= 1e-9 * sd_k:
+        labels.append(str(h))
+        arrays.append(vals)
+    micro = Microdata(
+        labels=tuple(labels),
+        groups=tuple(tuple(map(tuple, vals.tolist())) for vals in arrays),
+    )
+    summary = _summarize_arrays(micro.labels, arrays)
+    for st in summary.strata:
+        for name, mean, sd in (("y", st.ybar, st.s_y), ("x", st.xbar, st.s_x),
+                               ("z", st.zbar, st.s_z)):
+            if mean <= 0.0 or mean <= 1e-9 * sd:
                 raise NumericalError(
-                    f"stratum {h}: realized {name} mean {mean_k:.6g} is within "
+                    f"stratum {st.h}: realized {name} mean {mean:.6g} is within "
                     "the zero guard band; raise the target mean or lower the SD"
                 )
-        labels.append(str(h))
-        groups.append(tuple(tuple(row) for row in vals.tolist()))
-    micro = Microdata(labels=tuple(labels), groups=tuple(groups))
-    return micro, summarize(micro)
+    return micro, summary
 
 
 def _check_micro_design(micro: Microdata, design: SampleDesign) -> None:
@@ -143,25 +148,49 @@ def _check_micro_design(micro: Microdata, design: SampleDesign) -> None:
             )
 
 
+def _draw_indices(
+    master_seed: int, streams: range, sizes: Sequence[int], n: Sequence[int]
+) -> list[np.ndarray]:
+    """Sample indices of the given streams, one (len(streams), n_h) array
+    per stratum: row b holds stream streams[b]'s rng.permutation(N_h)[:n_h].
+
+    One Philox generator serves every stream. Later streams restore its
+    unused state (counter 0, empty buffer) under their own key, which
+    reproduces a freshly keyed generator exactly without constructing one.
+    """
+    bitgen = np.random.Philox(
+        key=np.array([master_seed & _MASK64, streams[0] & _MASK64], dtype=np.uint64))
+    rng = np.random.Generator(bitgen)
+    fresh = bitgen.state if len(streams) > 1 else None
+    idx = [np.empty((len(streams), n_h), dtype=np.intp) for n_h in n]
+    for b, stream in enumerate(streams):
+        if b:
+            fresh["state"]["key"][1] = stream & _MASK64
+            bitgen.state = fresh
+        for rows, N_h, n_h in zip(idx, sizes, n):
+            rows[b] = rng.permutation(N_h)[:n_h]
+    return idx
+
+
 def draw_sample(
     micro: Microdata, design: SampleDesign, master_seed: int, stream: int = 0
 ) -> StratifiedSample:
     """One stratified SRSWOR draw under the documented stream contract."""
     _check_micro_design(micro, design)
-    rng = _rng(master_seed, stream)
-    picks = []
-    for group, n_h in zip(micro.groups, design.n):
-        idx = rng.permutation(len(group))[:n_h]
-        picks.append(tuple(group[i] for i in idx))
-    return StratifiedSample(design=design, observations=tuple(picks))
+    idx = _draw_indices(master_seed, range(stream, stream + 1), micro.sizes, design.n)
+    picks = tuple(
+        tuple(map(group.__getitem__, rows[0].tolist()))
+        for group, rows in zip(micro.groups, idx)
+    )
+    return StratifiedSample(design=design, observations=picks)
 
 
 def population_fingerprint(micro: Microdata) -> str:
-    """SHA-256 over the population's raw values, column-major per stratum."""
+    """SHA-256 over each stratum's label, then its float64 values
+    interleaved by record (y, x, z of the first record, then the next)."""
     digest = hashlib.sha256()
-    for label, group in zip(micro.labels, micro.groups):
+    for label, arr in zip(micro.labels, micro.arrays):
         digest.update(label.encode())
-        arr = np.asarray(group, dtype=np.float64)
         digest.update(arr.tobytes())
     return digest.hexdigest()
 
@@ -211,9 +240,11 @@ def run_simulation(
 
     When exp_regression is requested it is evaluated twice: at the fixed
     (m1, m2) given here and, as row exp_regression_opt, at the optimum
-    tuned from the realized population moments. Non-finite estimates are
+    tuned from the realized population moments. A census design has no
+    optimum, so that row is left out with a note. Non-finite estimates are
     counted per estimator and excluded from the averages; a share above
-    NONFINITE_LIMIT fails the run.
+    NONFINITE_LIMIT fails the run. workers is accepted for compatibility
+    and has no effect: replicates run serially, in blocks of at most _BLOCK.
     """
     if R < 1:
         raise InputError(f"replication count must be >= 1, got {R}")
@@ -226,11 +257,16 @@ def run_simulation(
     pop = summarize(micro)
     mset = moment_set(pop, design)
     ybar, xbar, zbar = mset.ybar, mset.xbar, mset.zbar
+    notes = list(mset.warnings)
 
     row_plan: list[tuple[str, str, Optional[float], Optional[float], float]] = []
     for e in requested:
         if e == "exp_regression":
             row_plan.append((e, e, m1, m2, mse_tp(mset, m1, m2).mse))
+            if mset.census:
+                notes.append("census design: exp_regression_opt left out, "
+                             "the tuning optimum is undefined")
+                continue
             m1s, m2s = optimal_m(mset)
             row_plan.append(("exp_regression_opt", e, m1s, m2s, mse_tp(mset, m1s, m2s).mse))
         elif e == "mean":
@@ -238,67 +274,45 @@ def run_simulation(
         else:
             row_plan.append((e, e, None, None, mse_classic(e, mset)))
 
-    need_slopes = any(base in ("regression", "exp_regression") for _, base, *_ in row_plan)
-    n_rows = len(row_plan)
-    ys = [np.asarray([o[0] for o in g]) for g in micro.groups]
-    xs = [np.asarray([o[1] for o in g]) for g in micro.groups]
-    zs = [np.asarray([o[2] for o in g]) for g in micro.groups]
+    kernel_rows = [(base, rm1, rm2) for _, base, rm1, rm2, _ in row_plan]
+    values = [a.T.copy() for a in micro.arrays]  # (3, N_h) per stratum
     N = pop.N
-    strata_const = [
-        (s.N / N, (s.N / N) ** 2 * (1.0 / n_h - 1.0 / s.N), n_h)
+    weights = [s.N / N for s in pop.strata]
+    # per-stratum factor of the slope sums; strata of one unit carry none
+    scales = [
+        (s.N / N) ** 2 * (1.0 / n_h - 1.0 / s.N) / (n_h - 1) if n_h >= 2 else None
         for s, n_h in zip(pop.strata, design.n)
     ]
-    census = all(n_h == s.N for s, n_h in zip(pop.strata, design.n))
 
-    out = np.empty((R, n_rows))
-
-    def _run_range(lo: int, hi: int) -> None:
-        for r in range(lo, hi):
-            rng = _rng(master_seed, r)
-            ybar_st = xbar_st = zbar_st = 0.0
-            num1 = den1 = num2 = den2 = 0.0
-            for h, (w, g, n_h) in enumerate(strata_const):
-                idx = rng.permutation(len(ys[h]))[:n_h]
-                sy, sx, sz = ys[h][idx], xs[h][idx], zs[h][idx]
-                my, mx, mz = sy.mean(), sx.mean(), sz.mean()
-                ybar_st += w * my
-                xbar_st += w * mx
-                zbar_st += w * mz
-                if need_slopes and n_h >= 2:
-                    dy, dx, dz = sy - my, sx - mx, sz - mz
-                    scale = g / (n_h - 1)
-                    num1 += scale * float(dy @ dx)
-                    den1 += scale * float(dx @ dx)
-                    num2 += scale * float(dy @ dz)
-                    den2 += scale * float(dz @ dz)
-            if census:
-                b1 = b2 = 0.0  # the corrections they multiply are exactly zero
-            else:
-                b1 = num1 / den1 if den1 != 0.0 else math.nan
-                b2 = num2 / den2 if den2 != 0.0 else math.nan
-            for j, (_, base, rm1, rm2, _) in enumerate(row_plan):
-                try:
-                    v = _estimate_from_means(
-                        base, ybar_st, xbar_st, zbar_st, xbar, zbar,
-                        b1, b2, rm1 if rm1 is not None else 0.0,
-                        rm2 if rm2 is not None else 0.0,
-                    )
-                except NumericalError:
-                    v = math.nan
-                out[r, j] = v
-
-    if workers <= 1 or R < 2:
-        _run_range(0, R)
-    else:
-        chunk = (R + workers - 1) // workers
-        bounds = [(lo, min(lo + chunk, R)) for lo in range(0, R, chunk)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(lambda b: _run_range(*b), bounds))
+    out = np.empty((len(row_plan), R))
+    block = max(1, min(_BLOCK, _BLOCK_UNITS // design.total))
+    for lo in range(0, R, block):
+        hi = min(lo + block, R)
+        idx = _draw_indices(master_seed, range(lo, hi), micro.sizes, design.n)
+        means = np.zeros((3, hi - lo))
+        sums = np.zeros((4, hi - lo))  # sum_h scale_h * (s_yx, s_xx, s_yz, s_zz)
+        for vals, picks, w, scale in zip(values, idx, weights, scales):
+            # (3, B, n_h), C-ordered so each mean sums its n_h values pairwise
+            # exactly as ndarray.mean does on one replicate's sample
+            sample = np.take(vals, picks, axis=1)
+            m = sample.mean(axis=-1)
+            means += w * m
+            if scale is not None:
+                sample -= m[..., None]
+                dy, dx, dz = sample
+                for k, (a, b) in enumerate(((dy, dx), (dx, dx), (dy, dz), (dz, dz))):
+                    sums[k] += scale * np.einsum("bn,bn->b", a, b)
+        if mset.census:
+            b1 = b2 = np.zeros(hi - lo)  # the corrections they multiply are exactly zero
+        else:
+            with np.errstate(all="ignore"):
+                b1, b2 = sums[0] / sums[1], sums[2] / sums[3]
+        out[:, lo:hi] = estimate_rows(kernel_rows, *means, xbar, zbar, b1, b2)
 
     rows = []
     failures = []
     for j, (label, _, rm1, rm2, theory) in enumerate(row_plan):
-        col = out[:, j]
+        col = out[j]
         finite = np.isfinite(col)
         bad = int(R - int(finite.sum()))
         vals = col[finite].tolist()
@@ -327,7 +341,7 @@ def run_simulation(
         rows=tuple(rows), R=R, seed=master_seed, generator=GENERATOR_NAME,
         design=tuple(design.n), ybar=ybar,
         fingerprint=population_fingerprint(micro),
-        notes=tuple(mset.warnings),
+        notes=tuple(notes),
     )
 
 
@@ -339,39 +353,16 @@ _GEN_FIELDS = (
 
 def parse_generator_config(text: str) -> PopulationConfig:
     """Parse a JSON generator config: {"seed": ..., "strata": [{...}]}."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise InputError(f"invalid generator config: {e}") from None
-    if not isinstance(doc, dict):
-        raise InputError("generator config must be an object")
-    unknown = set(doc) - {"seed", "strata"}
-    if unknown:
-        raise InputError(f"unknown top-level field(s): {sorted(unknown)}")
-    if "strata" not in doc or not isinstance(doc["strata"], list):
-        raise InputError("generator config needs a 'strata' list")
+    return generator_config(decode_json(text, "generator config"))
+
+
+def generator_config(doc) -> PopulationConfig:
+    """Validate a decoded generator config document."""
+    entries = document_entries(
+        doc, "generator config", "generator stratum", ("seed", "strata"), _GEN_FIELDS,
+        integers=("N",),
+    )
     seed = doc.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise InputError("seed must be an integer")
-    strata = []
-    for i, item in enumerate(doc["strata"], start=1):
-        if not isinstance(item, dict):
-            raise InputError(f"generator stratum {i} must be an object")
-        bad = set(item) - set(_GEN_FIELDS)
-        if bad:
-            raise InputError(f"unknown field(s) {sorted(bad)} in generator stratum {i}")
-        missing = set(_GEN_FIELDS) - set(item)
-        if missing:
-            raise InputError(f"missing field(s) {sorted(missing)} in generator stratum {i}")
-        kw = {}
-        for name, value in item.items():
-            if name == "N":
-                if isinstance(value, bool) or not isinstance(value, int):
-                    raise InputError(f"generator stratum {i}: N must be an integer")
-                kw[name] = value
-            else:
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise InputError(f"generator stratum {i}: {name} must be a number")
-                kw[name] = float(value)
-        strata.append(GeneratorStratum(**kw))
-    return PopulationConfig(strata=tuple(strata), seed=seed)
+    return PopulationConfig(strata=tuple(GeneratorStratum(**kw) for kw in entries), seed=seed)

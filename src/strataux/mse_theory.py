@@ -26,21 +26,12 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .data_model import InputError, NumericalError
+from .estimators import FAMILY
 from .moments import MomentSet
 
 # relative floor on v020*v002 - v011^2 below which the quadratic is
 # treated as degenerate
 SINGULARITY_TOL = 1e-12
-
-_CLASSIC = (
-    "ratio",
-    "exp_ratio_x",
-    "exp_ratio_xz",
-    "exp_product_xz",
-    "exp_ratio_x_product_z",
-    "exp_product_x_ratio_z",
-    "regression",
-)
 
 _NEGATIVE_MSE_WARNING = (
     "first-order MSE is negative; the approximation is not meaningful "
@@ -103,44 +94,22 @@ def _quadratic(m: MomentSet, a1: float, a2: float) -> float:
 def mse_classic(estimator: str, m: MomentSet) -> float:
     """First-order MSE of one of the non-tuned estimators.
 
-    The regression estimator uses the correlation-based aggregate residual
-    when the MomentSet carries one (it does whenever it came from
-    moment_set); for raw MomentSets the slope-based quadratic at
-    a = (D1, D2) is the fallback.
+    Each is the tuned quadratic at the estimator's point of the family
+    (estimators.FAMILY): a_i = m_i/2, plus D_i for the slope-bearing
+    regression estimator. The coefficients are powers of two, so these are
+    the same bits as the estimators' own expansions. The regression
+    estimator uses the correlation-based aggregate residual when the
+    MomentSet carries one (it does whenever it came from moment_set); for
+    raw MomentSets the slope-based quadratic at a = (D1, D2) is the
+    fallback.
     """
-    y2 = m.ybar ** 2
-    if estimator == "mean":
-        return variance_mean(m)
-    if estimator == "ratio":
-        return y2 * math.fsum((m.v200, m.v020, -2.0 * m.v110))
-    if estimator == "exp_ratio_x":
-        return y2 * math.fsum((m.v200, 0.25 * m.v020, -1.0 * m.v110))
-    if estimator == "exp_ratio_xz":
-        return y2 * math.fsum(
-            (m.v200, 0.25 * m.v020, 0.25 * m.v002,
-             0.5 * m.v011, -1.0 * m.v110, -1.0 * m.v101)
-        )
-    if estimator == "exp_product_xz":
-        return y2 * math.fsum(
-            (m.v200, 0.25 * m.v020, 0.25 * m.v002,
-             0.5 * m.v011, 1.0 * m.v110, 1.0 * m.v101)
-        )
-    if estimator == "exp_ratio_x_product_z":
-        return y2 * math.fsum(
-            (m.v200, 0.25 * m.v020, 0.25 * m.v002,
-             -0.5 * m.v011, -1.0 * m.v110, 1.0 * m.v101)
-        )
-    if estimator == "exp_product_x_ratio_z":
-        return y2 * math.fsum(
-            (m.v200, 0.25 * m.v020, 0.25 * m.v002,
-             -0.5 * m.v011, 1.0 * m.v110, -1.0 * m.v101)
-        )
-    if estimator == "regression":
-        if m.regression_residual is not None:
-            return m.regression_residual
-        d1, d2 = _d_terms(m)
-        return _quadratic(m, d1, d2)
-    raise InputError(f"no closed-form MSE for estimator {estimator!r}")
+    if estimator not in FAMILY:
+        raise InputError(f"no closed-form MSE for estimator {estimator!r}")
+    if estimator == "regression" and m.regression_residual is not None:
+        return m.regression_residual
+    m1, m2, slopes = FAMILY[estimator]
+    d1, d2 = _d_terms(m) if slopes else (0.0, 0.0)
+    return _quadratic(m, 0.5 * (m1 or 0.0) + d1, 0.5 * (m2 or 0.0) + d2)
 
 
 def mse_tp(m: MomentSet, m1: float, m2: float) -> MseBreakdown:

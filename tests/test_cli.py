@@ -165,6 +165,31 @@ def test_simulate_rejects_summary_documents(summary_file, capsys):
     assert "cannot be sampled from" in capsys.readouterr().err
 
 
+def test_simulate_malformed_json_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "broken.json"
+    for text in ('{"seed": 1, "strata": [', '{"strata": ' + "[" * 100000):
+        path.write_text(text)
+        assert main(["simulate", "--input", str(path), "--design", "6,9"]) == 2
+        assert "error: invalid generator config" in capsys.readouterr().err
+
+
+def _strict_json(text):
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_census_simulation_with_default_estimators(config_file, capsys):
+    argv = ["simulate", "--input", config_file, "--design", "40,60",
+            "--R", "20", "--seed", "5", "--format", "json"]
+    assert main(argv) == 0
+    doc = _strict_json(capsys.readouterr().out)
+    rows = {r["estimator"]: r for r in doc["report"]["rows"]}
+    assert "exp_regression_opt" not in rows and "exp_regression" in rows
+    assert all(r["rel_gap"] is None and r["theory_mse"] == 0.0 for r in rows.values())
+    assert any("exp_regression_opt" in n for n in doc["report"]["notes"])
+
+
 def test_simulate_csv_has_no_timestamps(config_file, capsys):
     argv = ["simulate", "--input", config_file, "--design", "6,9",
             "--R", "50", "--seed", "5", "--format", "csv"]

@@ -82,6 +82,35 @@ def test_summarize_matches_direct_arithmetic():
     assert pop.weights == (3 / 5, 2 / 5)
 
 
+def test_summarize_is_bit_identical_to_plain_fsum():
+    # reference: the textbook two-pass formulas on Python floats, fsum sums
+    import random
+
+    rnd = random.Random(7)
+    for _ in range(20):
+        groups = []
+        for _ in range(rnd.randint(1, 4)):
+            scale = 10.0 ** rnd.randint(-3, 6)
+            groups.append(tuple(
+                tuple(rnd.gauss(scale, scale / rnd.uniform(1, 50)) for _ in range(3))
+                for _ in range(rnd.randint(2, 60))
+            ))
+        micro = Microdata(labels=tuple(str(h) for h in range(len(groups))),
+                          groups=tuple(groups))
+        for s, group in zip(summarize(micro).strata, groups):
+            N = len(group)
+            cols = list(zip(*group))
+            means = [math.fsum(c) / N for c in cols]
+            devs = [[v - m for v in c] for c, m in zip(cols, means)]
+            sd = [math.sqrt(math.fsum(d * d for d in dv) / (N - 1)) for dv in devs]
+            assert (s.ybar, s.xbar, s.zbar) == tuple(means)
+            assert (s.s_y, s.s_x, s.s_z) == tuple(sd)
+            for pair, (i, j) in (("yx", (0, 1)), ("yz", (0, 2)), ("xz", (1, 2))):
+                cov = math.fsum(a * b for a, b in zip(devs[i], devs[j])) / (N - 1)
+                assert getattr(s, f"s_{pair}") == cov
+                assert getattr(s, f"rho_{pair}") == max(-1.0, min(1.0, cov / (sd[i] * sd[j])))
+
+
 def test_summarize_rejects_constant_columns():
     text = "stratum,y,x,z\nA,1,7,3\nA,2,7,5\n"
     with pytest.raises(InputError, match="zero variance in x"):

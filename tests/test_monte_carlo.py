@@ -25,6 +25,7 @@ from strataux import (
     summarize,
     variance_mean,
 )
+from strataux import monte_carlo
 from strataux.monte_carlo import GENERATOR_NAME
 
 
@@ -229,6 +230,50 @@ def test_worker_count_does_not_change_results(small_population):
     assert serial == threaded  # bit-identical rows, any chunking
 
 
+def test_worker_counts_one_two_four_give_equal_reports(small_population):
+    micro, _ = small_population
+    design = SampleDesign(n=(6, 9))
+    reports = [run_simulation(micro, design, R=monte_carlo._BLOCK + 3, master_seed=3,
+                              workers=w) for w in (1, 2, 4)]
+    assert reports[0] == reports[1] == reports[2]
+
+
+def test_reports_do_not_depend_on_the_block_size(small_population, monkeypatch):
+    micro, _ = small_population
+    design = SampleDesign(n=(6, 9))
+    want = run_simulation(micro, design, R=300, master_seed=4)
+    for block in (1, 7, 300):
+        monkeypatch.setattr(monte_carlo, "_BLOCK", block)
+        assert run_simulation(micro, design, R=300, master_seed=4) == want
+    # a design sampling more than _BLOCK_UNITS units runs one replicate a block
+    monkeypatch.setattr(monte_carlo, "_BLOCK_UNITS", 10)
+    assert run_simulation(micro, design, R=300, master_seed=4) == want
+
+
+def test_simulator_draws_the_samples_draw_sample_draws(small_population, monkeypatch):
+    # every replicate, across a block boundary, is the draw_sample draw
+    micro, _ = small_population
+    design = SampleDesign(n=(6, 9))
+    seed, R = 2 ** 64 + 17, monte_carlo._BLOCK + 3
+    blocks = []
+    draw = monte_carlo._draw_indices
+
+    def recording(master_seed, streams, sizes, n):
+        idx = draw(master_seed, streams, sizes, n)
+        blocks.append((streams, idx))
+        return idx
+
+    monkeypatch.setattr(monte_carlo, "_draw_indices", recording)
+    run_simulation(micro, design, R=R, master_seed=seed)
+    simulated = list(blocks)
+    assert [r for streams, _ in simulated for r in streams] == list(range(R))
+    for streams, idx in simulated:
+        for b, r in enumerate(streams):
+            sample = draw_sample(micro, design, seed, stream=r)
+            for group, rows, drawn in zip(micro.groups, idx, sample.observations):
+                assert tuple(group[i] for i in rows[b]) == drawn
+
+
 def test_single_replication_matches_point_estimates(small_population):
     micro, pop = small_population
     design = SampleDesign(n=(6, 9))
@@ -246,6 +291,24 @@ def test_single_replication_matches_point_estimates(small_population):
         assert row.emp_bias == row.emp_mean - report.ybar
         assert row.emp_mse == (row.emp_mean - report.ybar) ** 2
         assert row.nonfinite == 0
+
+
+def test_block_kernel_matches_per_replicate_point_estimates(small_population):
+    # reference: point_estimate, with its fsum means and slopes, on each
+    # replicate's draw_sample sample, over more than one block; the batched
+    # means and einsum slope sums may differ from it in the last bits only
+    micro, pop = small_population
+    design = SampleDesign(n=(6, 9))
+    R = monte_carlo._BLOCK + 3
+    report = run_simulation(micro, design, R=R, master_seed=31, m1=0.4, m2=-0.6)
+    samples = [draw_sample(micro, design, 31, stream=r) for r in range(R)]
+    for row in report.rows:
+        kw = {"m1": row.m1, "m2": row.m2} if row.m1 is not None else {}
+        base = "exp_regression" if row.estimator == "exp_regression_opt" else row.estimator
+        values = [point_estimate(base, s, pop, **kw) for s in samples]
+        assert row.emp_mean == pytest.approx(math.fsum(values) / R, rel=1e-13)
+        mse = math.fsum((v - report.ybar) ** 2 for v in values) / R
+        assert row.emp_mse == pytest.approx(mse, rel=1e-10), row.estimator
 
 
 def test_theory_columns_come_from_the_moment_set(small_population):
