@@ -24,6 +24,11 @@ import numpy as np
 # discrepancy |s_ab - rho_ab*s_a*s_b| / (s_a*s_b) stays within this bound.
 RECONCILE_TOL = 0.01
 
+# Every input number (summary field, microdata value, generator target)
+# and every relative moment must stay within this magnitude, so that the
+# squares and products the theory forms stay finite in float64.
+MAX_MAGNITUDE = 1e100
+
 _PAIRS = ("yx", "yz", "xz")
 
 
@@ -37,6 +42,14 @@ class NumericalError(ArithmeticError):
 
 class ValidationError(ValueError):
     """A validation or acceptance check failed (CLI exit code 4)."""
+
+
+def check_number(what: str, value: float) -> None:
+    """InputError unless value is finite and within MAX_MAGNITUDE."""
+    if not math.isfinite(value):
+        raise InputError(f"{what} must be finite, got {value}")
+    if abs(value) > MAX_MAGNITUDE:
+        raise InputError(f"{what} = {value:.6g} is beyond +-{MAX_MAGNITUDE:g}")
 
 
 @dataclass(frozen=True)
@@ -71,6 +84,10 @@ class StratumSummary:
             raise InputError(f"stratum index must be >= 1, got {self.h}")
         if self.N < 2:
             raise InputError(f"stratum {self.h}: population size must be >= 2, got {self.N}")
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.name not in ("h", "N", "label") and v is not None:
+                check_number(f"stratum {self.h}: {f.name}", v)
         for name in ("s_y", "s_x", "s_z"):
             if getattr(self, name) < 0:
                 raise InputError(f"stratum {self.h}: {name} must be >= 0")
@@ -288,6 +305,10 @@ def _summarize_arrays(labels: Sequence[str], arrays: Sequence[np.ndarray]) -> Po
     strata = []
     for idx, (label, vals) in enumerate(zip(labels, arrays), start=1):
         N = len(vals)
+        for name, big in zip(("y", "x", "z"), np.abs(vals).max(axis=0).tolist()):
+            if big > MAX_MAGNITUDE:
+                raise InputError(
+                    f"stratum {label!r}: a value of {name} is beyond +-{MAX_MAGNITUDE:g}")
         cols = vals.T
         means = [math.fsum(c) / N for c in cols.tolist()]
         devs = cols - np.array(means)[:, None]
@@ -524,7 +545,10 @@ def document_entries(
             elif isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise InputError(f"{where}: {name} must be a number")
             else:
-                value = float(value)
+                try:
+                    value = float(value)
+                except OverflowError:
+                    raise InputError(f"{where}: {name} is too large for a float") from None
             kw[name] = value
         entries.append(kw)
     return entries

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .data_model import NumericalError, PopulationSummary, SampleDesign
+from .data_model import MAX_MAGNITUDE, NumericalError, PopulationSummary, SampleDesign
 
 # |mean| at or below this multiple of the largest stratum SD counts as a
 # zero mean: relative moments would blow up.
@@ -114,6 +114,14 @@ def moment_set(pop: PopulationSummary, design: SampleDesign) -> MomentSet:
         * (1.0 - s.rho_yx ** 2 - s.rho_yz ** 2 + 2.0 * s.rho_yx * s.rho_yz * s.rho_xz)
         for i, s in enumerate(strata)
     )
+
+    for name, v in (("v200", v200), ("v020", v020), ("v002", v002), ("v110", v110),
+                    ("v101", v101), ("v011", v011), ("b1", b1), ("b2", b2)):
+        if v is not None and not abs(v) <= MAX_MAGNITUDE:
+            raise NumericalError(
+                f"{name} = {v:.6g} is beyond +-{MAX_MAGNITUDE:g}: the covariances are "
+                "too large for means this close to zero"
+            )
 
     warnings = []
     for name, cross, da, db in (

@@ -5,19 +5,27 @@ target moments, then frozen: all downstream theory uses the realized
 finite-population summaries, so the theory-vs-simulation comparison is not
 polluted by generator-target error.
 
-RNG contract: every random draw comes from a counter-based Philox4x64
-generator keyed by the pair (master_seed, stream_id). Stream ids 0..R-1
-belong to the replications, one per replication index; population
-generation for stratum h uses stream id 2^63 + h, a disjoint namespace.
-Replications are therefore independent, order-free, and reproducible:
-reports depend neither on the simulator's block size nor on the ignored
-worker count, and any replicate can be re-drawn alone with draw_sample.
+RNG contract (sampling contract v2, reported as GENERATOR_NAME
+"philox4x64-floyd"): every random draw comes from a counter-based
+Philox4x64 generator keyed by the pair (master_seed, stream_id). Stream
+ids 0..R-1 belong to the replications, one per replication index;
+population generation for stratum h uses stream id 2^63 + h, a disjoint
+namespace. A replication makes one rng.integers call for all its strata
+and selects each stratum's sample from those integers with Floyd's
+algorithm, at O(n_h) per stratum (see _draw_indices). Replications are
+therefore independent, order-free, and reproducible: reports depend
+neither on the simulator's block size nor on the ignored worker count,
+and any replicate can be re-drawn alone with draw_sample. Contract v1
+("philox4x64") took rng.permutation(N_h)[:n_h] per stratum; its samples,
+and so every simulated figure, differ from v2's.
 """
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import lru_cache
+from operator import itemgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -31,6 +39,7 @@ from .data_model import (
     StratifiedSample,
     ValidationError,
     _summarize_arrays,
+    check_number,
     decode_json,
     document_entries,
     summarize,
@@ -41,7 +50,7 @@ from .mse_theory import mse_classic, mse_tp, optimal_m, variance_mean
 
 _MASK64 = (1 << 64) - 1
 _POP_STREAM_BASE = 1 << 63
-GENERATOR_NAME = "philox4x64"
+GENERATOR_NAME = "philox4x64-floyd"
 # replicates per simulation block, fewer when that many would sample more
 # than _BLOCK_UNITS units: bounds the kernel's memory; results do not depend
 # on it
@@ -70,6 +79,9 @@ class GeneratorStratum:
     def __post_init__(self) -> None:
         if self.N < 2:
             raise InputError(f"generator stratum needs N >= 2, got {self.N}")
+        for f in fields(self):
+            if f.name != "N":
+                check_number(f"generator target {f.name}", getattr(self, f.name))
         for name in ("mean_y", "mean_x", "mean_z"):
             if getattr(self, name) <= 0.0:
                 raise InputError(f"generator target {name} must be positive")
@@ -152,7 +164,16 @@ def _draw_indices(
     master_seed: int, streams: range, sizes: Sequence[int], n: Sequence[int]
 ) -> list[np.ndarray]:
     """Sample indices of the given streams, one (len(streams), n_h) array
-    per stratum: row b holds stream streams[b]'s rng.permutation(N_h)[:n_h].
+    per stratum: row b holds stream streams[b]'s Floyd sample, in the order
+    Floyd's algorithm selects it.
+
+    Each stream makes one call, rng.integers(0, highs), where highs runs
+    through N_h - n_h + 1, ..., N_h for each stratum in turn. Draw k of a
+    stratum, t_k in [0, J + k] with J = N_h - n_h, selects t_k unless an
+    earlier draw of that stratum already selected it, and J + k otherwise
+    (Bentley & Floyd 1987): every n_h-subset is equally likely, at O(n_h)
+    per stratum whatever N_h is. The selection runs over the whole block at
+    once (_floyd_select).
 
     One Philox generator serves every stream. Later streams restore its
     unused state (counter 0, empty buffer) under their own key, which
@@ -162,14 +183,80 @@ def _draw_indices(
         key=np.array([master_seed & _MASK64, streams[0] & _MASK64], dtype=np.uint64))
     rng = np.random.Generator(bitgen)
     fresh = bitgen.state if len(streams) > 1 else None
-    idx = [np.empty((len(streams), n_h), dtype=np.intp) for n_h in n]
+    k, top, highs, base, ends = _draw_columns(tuple(sizes), tuple(n))
+    t = np.empty((len(streams), len(k)), dtype=base.dtype)
     for b, stream in enumerate(streams):
         if b:
             fresh["state"]["key"][1] = stream & _MASK64
             bitgen.state = fresh
-        for rows, N_h, n_h in zip(idx, sizes, n):
-            rows[b] = rng.permutation(N_h)[:n_h]
-    return idx
+        t[b] = rng.integers(0, highs)
+    _floyd_select(t, k, top, base)
+    return [t[:, end - n_h:end] for end, n_h in zip(ends, n)]
+
+
+@lru_cache(maxsize=8)
+def _draw_columns(sizes: tuple[int, ...], n: tuple[int, ...]):
+    """Per-column constants of one replicate's draws, strata in turn: the
+    draw number k within its stratum, J + k and J + k + 1 (J = N_h - n_h),
+    the sort base of _floyd_select and each stratum's end column. top and
+    base are int32 when every sort code fits, halving the block's arrays."""
+    sizes, n = np.array(sizes), np.array(n)
+    ends = np.cumsum(n)
+    width = int(ends[-1])
+    dtype = np.int32 if int(sizes.sum()) * width < 2 ** 31 else np.int64
+    k = np.arange(width) - np.repeat(ends - n, n)
+    top = np.repeat(sizes - n, n) + k
+    # units before the column's stratum, times the row width, plus the column
+    base = np.repeat(np.cumsum(sizes) - sizes, n) * width + np.arange(width)
+    return k, top.astype(dtype), top + 1, base.astype(dtype), ends.tolist()
+
+
+def _floyd_select(t: np.ndarray, k: np.ndarray, top: np.ndarray,
+                  base: np.ndarray) -> np.ndarray:
+    """Floyd's selection over a block of draws, every row at once, in
+    place: t's draws become the selected units, and t is returned.
+
+    Column j of t, of width columns, holds draw number k[j] of its stratum,
+    a value in [0, top[j]] where top = J + k and J = N_h - n_h; base[j] is
+    width times the number of units in the strata before it, plus j. Draw
+    k collides, and selects J + k in place of t_k, exactly when t_k is
+    already selected, that is when
+      (a) t_k equals an earlier t_i of the stratum (whether t_i was then
+          selected or collided, it is taken by now), or
+      (b) t_k = J + i for an earlier i that collided itself.
+    (a) comes from one sort of each row. (b) links draw k back to draw
+    i = t_k - J whenever J <= t_k < J + k; following the links ends at a
+    draw whose collision is (a) alone, and pointer jumping over the linked
+    draws finds it in O(log n_h) passes. Cost is O(n_h log n_h) per row and
+    stratum, never O(N_h).
+    """
+    B, width = t.shape
+    # (a): sort codes (unit, column), units offset by stratum so equal draws
+    # of different strata never meet; of equal units the earliest column
+    # comes first, and every later one is a repeat
+    code = t * width
+    code += base
+    code.sort(axis=1)
+    unit = code // width
+    rows, j = np.nonzero(unit[:, 1:] == unit[:, :-1])
+    collided = np.zeros((B, width), dtype=bool)
+    collided[rows, code[rows, j + 1] % width] = True
+    # (b): a linked draw k at flat index f points back to f - (k - i), its
+    # draw i; repeats are ends of chains, as their collision is settled
+    back = np.subtract(top, t, out=code)
+    src = np.flatnonzero((back > 0) & (back <= k) & ~collided)
+    root = src - back.ravel()[src]
+    collided = collided.ravel()
+    while True:
+        # root < its own src, so every root has a src at or after it
+        at = np.searchsorted(src, root)
+        hop = src[at] == root
+        if not hop.any():
+            break
+        root = np.where(hop, root[at], root)
+    collided[src] = collided[root]
+    np.copyto(t, top, where=collided.reshape(B, width))
+    return t
 
 
 def draw_sample(
@@ -178,11 +265,11 @@ def draw_sample(
     """One stratified SRSWOR draw under the documented stream contract."""
     _check_micro_design(micro, design)
     idx = _draw_indices(master_seed, range(stream, stream + 1), micro.sizes, design.n)
-    picks = tuple(
-        tuple(map(group.__getitem__, rows[0].tolist()))
-        for group, rows in zip(micro.groups, idx)
-    )
-    return StratifiedSample(design=design, observations=picks)
+    picks = []
+    for group, rows in zip(micro.groups, idx):
+        got = itemgetter(*rows[0].tolist())(group)
+        picks.append(got if rows.shape[1] > 1 else (got,))
+    return StratifiedSample(design=design, observations=tuple(picks))
 
 
 def population_fingerprint(micro: Microdata) -> str:

@@ -237,6 +237,42 @@ def test_exit_code_2_on_input_errors(tmp_path, capsys):
     assert "bad --design" in capsys.readouterr().err
 
 
+def test_non_finite_summary_values_exit_2(tmp_path, capsys):
+    pop, _ = embedded_kk2009()
+    doc = json.loads(summary_to_json(pop))
+    doc["strata"][2]["s_y"] = float("nan")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))  # writes the literal NaN
+    for argv in (["moments", "--format", "json"], ["pre"]):
+        assert main(argv + ["--input", str(path), "--design", DESIGN]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: stratum 3: s_y must be finite, got nan" in captured.err
+
+
+def test_huge_summary_values_exit_2(tmp_path, capsys):
+    # squaring a mean of 1e300 used to end in an OverflowError traceback
+    pop, _ = embedded_kk2009()
+    doc = json.loads(summary_to_json(pop))
+    doc["strata"][0]["ybar"] = 1e300
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    assert main(["moments", "--input", str(path), "--design", DESIGN]) == 2
+    assert "error: stratum 1: ybar = 1e+300 is beyond" in capsys.readouterr().err
+
+
+def test_non_finite_generator_target_exits_2(tmp_path, capsys):
+    config = json.loads(json.dumps(GEN_CONFIG))
+    config["strata"][1]["mean_x"] = float("nan")
+    path = tmp_path / "gen.json"
+    path.write_text(json.dumps(config))
+    assert main(["simulate", "--input", str(path), "--design", "6,9",
+                 "--R", "20", "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: generator target mean_x must be finite" in captured.err
+
+
 def test_exit_code_3_on_degenerate_moments(tmp_path, capsys):
     doc = {"strata": [{
         "h": 1, "N": 30, "ybar": 10.0, "xbar": 8.0, "zbar": 6.0,

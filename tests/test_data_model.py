@@ -147,6 +147,22 @@ def test_stratum_summary_validation():
         _stratum(rho_yz=1.5)
 
 
+@pytest.mark.parametrize("field", ["ybar", "s_y", "s_xz", "rho_yx", "beta2_z"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_stratum_summary_rejects_non_finite_values(field, value):
+    with pytest.raises(InputError, match=f"stratum 1: {field} must be finite"):
+        _stratum(**{field: value})
+
+
+def test_numbers_beyond_the_working_range_are_input_errors():
+    # squares of these would overflow float64 in the theory
+    with pytest.raises(InputError, match=r"stratum 1: xbar = -1e\+120 is beyond"):
+        _stratum(xbar=-1e120)
+    micro = parse_microdata("stratum,y,x,z\nA,1,2,3\nA,2,5e120,5\nA,3,6,7\n")
+    with pytest.raises(InputError, match="stratum 'A': a value of x is beyond"):
+        summarize(micro)
+
+
 def test_population_summary_validation():
     with pytest.raises(InputError, match="at least one stratum"):
         PopulationSummary(strata=())

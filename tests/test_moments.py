@@ -118,6 +118,18 @@ def test_zero_mean_guard():
         moment_set(PopulationSummary(strata=(tiny,)), SampleDesign(n=(5,)))
 
 
+def test_out_of_range_moments_are_a_numerical_error():
+    # means far from zero relative to their SDs, but a raw covariance that
+    # dwarfs their product: v011 = g * s_xz / (xbar * zbar) is about 1e118
+    tiny_means = StratumSummary(
+        h=1, N=50, ybar=5.0, xbar=1e-60, zbar=1e-60,
+        s_y=1.0, s_x=1e-65, s_z=1e-65, s_yx=0.0, s_yz=0.0, s_xz=1.0,
+        rho_yx=0.0, rho_yz=0.0, rho_xz=0.5,
+    )
+    with pytest.raises(NumericalError, match=r"v011 = .* is beyond \+-1e\+100"):
+        moment_set(PopulationSummary(strata=(tiny_means,)), SampleDesign(n=(5,)))
+
+
 def test_zero_auxiliary_variation_has_no_slope():
     flat = StratumSummary(
         h=1, N=50, ybar=5.0, xbar=8.0, zbar=6.0,

@@ -92,6 +92,10 @@ def test_generator_stratum_validation():
         _stratum(sd_x=-1.0)
     with pytest.raises(InputError, match="outside"):
         _stratum(rho_yx=-1.2)
+    for field in ("mean_x", "sd_z", "rho_xz"):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(InputError, match=f"generator target {field} must be finite"):
+                _stratum(**{field: value})
     with pytest.raises(InputError, match="at least one stratum"):
         PopulationConfig(strata=(), seed=0)
 
@@ -170,9 +174,21 @@ def test_draw_sample_shapes_and_membership(small_population):
         assert sorted(group) == sorted(micro.groups[h])  # census permutes
 
 
+def _python_floyd(draws, N, n):
+    """Floyd's algorithm on given draws: draw k, in [0, N - n + k], selects
+    itself unless already selected, and N - n + k then."""
+    chosen, taken = [], set()
+    for k, t in enumerate(draws):
+        pick = t if t not in taken else N - n + k
+        taken.add(pick)
+        chosen.append(pick)
+    return chosen
+
+
 def test_draw_sample_follows_documented_stream_contract(small_population):
     # replicate the documented generator: Philox keyed by
-    # (seed mod 2^64, stream mod 2^64), one permutation per stratum in order
+    # (seed mod 2^64, stream mod 2^64), one integers call over every
+    # stratum's bounds N_h - n_h + 1 .. N_h, then Floyd per stratum in order
     micro, _ = small_population
     design = SampleDesign(n=(5, 8))
     seed, stream = 2 ** 70 + 3, 9
@@ -181,9 +197,55 @@ def test_draw_sample_follows_documented_stream_contract(small_population):
     mask = (1 << 64) - 1
     key = np.array([seed & mask, stream & mask], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
+    sizes = [len(g) for g in micro.groups]
+    highs = [high for N, n in zip(sizes, design.n) for high in range(N - n + 1, N + 1)]
+    draws = rng.integers(0, np.array(highs)).tolist()
     for group, n_h, drawn in zip(micro.groups, design.n, sample.observations):
-        idx = rng.permutation(len(group))[:n_h]
+        idx = _python_floyd(draws[:n_h], len(group), n_h)
+        del draws[:n_h]
         assert tuple(group[i] for i in idx) == drawn
+
+
+@pytest.mark.parametrize("sizes, n", [
+    ((9, 14, 30), (4, 13, 2)),  # several strata at once; 13 = N_h - 1
+    ((7, 5, 2), (1, 5, 1)),  # n_h = 1 and a census
+    ((3_000_000_000, 6), (3, 5)),  # sort codes beyond int32
+])
+def test_batched_floyd_matches_a_set_based_floyd(sizes, n):
+    # the same integers, draw k of a stratum in [0, N_h - n_h + k], through
+    # the block selection and through a plain loop, row by row
+    k, top, highs, base, _ = monte_carlo._draw_columns(sizes, n)
+    draws = np.random.default_rng(5).integers(0, highs, size=(2000, len(highs)))
+    picked = monte_carlo._floyd_select(draws.astype(base.dtype), k, top, base)
+    for row, got in zip(draws.tolist(), picked.tolist()):
+        lo = 0
+        for N_h, n_h in zip(sizes, n):
+            assert got[lo:lo + n_h] == _python_floyd(row[lo:lo + n_h], N_h, n_h)
+            lo += n_h
+
+
+def test_census_draw_is_a_permutation():
+    sizes = (7, 40, 2)
+    idx = monte_carlo._draw_indices(8, range(300), sizes, sizes)
+    for rows, N_h in zip(idx, sizes):
+        assert (np.sort(rows, axis=1) == np.arange(N_h)).all()
+
+
+def test_subsets_are_uniform_across_streams_with_collisions():
+    # N = 6, n = 3: draws t_k in [0, 3 + k] collide often (t_1 = t_0 alone
+    # has probability 1/5), so both collision rules are exercised. Each of
+    # the 20 subsets has a Binomial(40000, 1/20) count: mean 2000, sd 43.6;
+    # five sd per subset leaves about 1e-5 for any of the 20 to stray.
+    draws, subsets = 40000, 20
+    (rows,) = monte_carlo._draw_indices(77, range(draws), (6,), (3,))
+    counts = {}
+    for row in rows.tolist():
+        key = frozenset(row)
+        counts[key] = counts.get(key, 0) + 1
+    assert len(counts) == subsets
+    p = 1 / subsets
+    sd = math.sqrt(draws * p * (1 - p))
+    assert all(abs(c - draws * p) <= 5 * sd for c in counts.values()), counts
 
 
 def test_draw_sample_design_mismatch(small_population):
@@ -216,7 +278,7 @@ def test_simulation_report_is_deterministic(small_population):
     assert a == b
     c = run_simulation(micro, design, R=300, master_seed=43)
     assert a != c
-    assert a.generator == GENERATOR_NAME == "philox4x64"
+    assert a.generator == GENERATOR_NAME == "philox4x64-floyd"
     assert a.fingerprint == population_fingerprint(micro)
     assert a.design == (6, 9)
     assert a.R == 300 and a.seed == 42
