@@ -14,9 +14,11 @@ import csv
 import io
 import json
 import math
+from array import array
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Optional, Sequence
+from itertools import islice
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -181,30 +183,50 @@ class SampleDesign:
                 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Microdata:
-    """Raw records grouped by stratum, in first-appearance label order."""
+    """Population records grouped by stratum, in first-appearance label order.
+
+    Each stratum is one read-only, C-contiguous (N_h, 3) float64 array of
+    (y, x, z) rows; equality compares labels, shapes and bytes. groups holds
+    the same records as tuples, built on first use.
+    """
 
     labels: tuple[str, ...]
-    groups: tuple[tuple[tuple[float, float, float], ...], ...]
+    arrays: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
-        if len(self.labels) != len(self.groups):
+        if len(self.labels) != len(self.arrays):
             raise InputError("labels and groups length mismatch")
+        # read-only views: the caller's own arrays keep their flags
+        arrays = tuple(np.ascontiguousarray(a, dtype=np.float64).view() for a in self.arrays)
+        for a in arrays:
+            if a.ndim != 2 or a.shape[1] != 3:
+                raise InputError("microdata records must be (y, x, z) triples")
+            a.flags.writeable = False
+        object.__setattr__(self, "arrays", arrays)
+
+    @classmethod
+    def from_records(cls, labels: Sequence[str], groups: Sequence) -> "Microdata":
+        """Microdata from each stratum's sequence of (y, x, z) records."""
+        return cls(tuple(labels), tuple(np.array(g, dtype=np.float64) for g in groups))
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Microdata) and self.labels == other.labels and all(
+            a.shape == b.shape and a.tobytes() == b.tobytes()
+            for a, b in zip(self.arrays, other.arrays))
 
     @property
     def sizes(self) -> tuple[int, ...]:
-        return tuple(len(g) for g in self.groups)
+        return tuple(len(a) for a in self.arrays)
 
     @property
     def n_records(self) -> int:
         return sum(self.sizes)
 
     @cached_property
-    def arrays(self) -> tuple[np.ndarray, ...]:
-        """Each stratum's records as an (N_h, 3) float64 array, built on
-        first use and kept."""
-        return tuple(np.asarray(g, dtype=np.float64) for g in self.groups)
+    def groups(self) -> tuple[tuple[tuple[float, float, float], ...], ...]:
+        return tuple(tuple(map(tuple, a.tolist())) for a in self.arrays)
 
 
 @dataclass(frozen=True)
@@ -224,34 +246,95 @@ class StratifiedSample:
                 )
 
 
+# records parse_microdata converts at a time: below the garbage collector's
+# default generation-0 threshold (700), so a chunk's row lists are freed
+# before a collection would scan them
+_CHUNK = 512
+
+
 def parse_microdata(text: str) -> Microdata:
-    """Parse a delimited table with header ``stratum,y,x,z`` into Microdata."""
-    rows = list(csv.reader(io.StringIO(text)))
-    line = 0
-    header = None
-    while line < len(rows):
-        if rows[line]:
-            header = [c.strip() for c in rows[line]]
+    """Parse a delimited table with header ``stratum,y,x,z`` into Microdata.
+
+    csv.reader tokenizes. Each chunk of _CHUNK records is transposed and
+    converted with float(); a chunk failing any check is walked by
+    _check_records, so the error names the first bad record ("line N"
+    counts records, blank ones too). One stable sort of label codes groups
+    the strata in first-appearance order.
+    """
+    failure: list[str] = []
+    records = _records(csv.reader(io.StringIO(text)), failure)
+    line, header = 0, None  # records read so far; the first nonblank one
+    for line, cells in enumerate(records, start=1):
+        if cells:
+            header = [c.strip() for c in cells]
             break
-        line += 1
     if header is None:
-        raise InputError("empty input: expected header stratum,y,x,z")
+        raise InputError(f"line {line + 1}: {failure[0]}" if failure
+                         else "empty input: expected header stratum,y,x,z")
     if header != ["stratum", "y", "x", "z"]:
         raise InputError(f"bad header {','.join(header)!r}: expected stratum,y,x,z")
 
-    labels: list[str] = []
-    groups: dict[str, list[tuple[float, float, float]]] = {}
-    for ln in range(line + 1, len(rows)):
-        cells = rows[ln]
+    codes: dict[str, int] = {}  # label -> code, in first-appearance order
+    record_codes, blocks = array("q"), []
+    while chunk := list(islice(records, _CHUNK)):
+        rows = list(filter(None, chunk))
+        if rows:
+            columns = _columns(rows)
+            if columns is None:
+                _check_records(chunk, line + 1)  # raises: the checks agree
+            labels, values = columns
+            for label in dict.fromkeys(labels):
+                codes.setdefault(label, len(codes))
+            record_codes.extend(map(codes.__getitem__, labels))
+            blocks.append(values)
+        line += len(chunk)
+    if failure:
+        raise InputError(f"line {line + 1}: {failure[0]}")
+    if not codes:
+        raise InputError("no records")
+    key = np.frombuffer(record_codes, dtype=np.int64)
+    sizes = np.bincount(key).tolist()
+    for label, size in zip(codes, sizes):
+        if size < 2:
+            raise InputError(f"stratum {label!r} has {size} record(s); need at least 2")
+    values = np.concatenate(blocks, axis=1).T[np.argsort(key, kind="stable")]
+    return Microdata(tuple(codes), tuple(np.split(values, np.cumsum(sizes)[:-1])))
+
+
+def _records(reader, failure: list) -> Iterator[list[str]]:
+    """The reader's records, ended by a csv.Error, which goes to failure."""
+    try:
+        yield from reader
+    except csv.Error as e:
+        failure.append(f"malformed CSV record: {e}")
+
+
+def _columns(rows: list[list[str]]) -> Optional[tuple[list[str], np.ndarray]]:
+    """Nonblank records' stripped labels and (3, n) float64 values, or None
+    when a record fails a check of _check_records."""
+    if set(map(len, rows)) != {4}:
+        return None
+    labels, *cells = zip(*rows)
+    labels = list(map(str.strip, labels))
+    try:
+        values = np.array([list(map(float, c)) for c in cells])
+    except ValueError:
+        return None
+    if "" in labels or not np.isfinite(values).all():
+        return None
+    return labels, values
+
+
+def _check_records(chunk: Sequence[list[str]], first_line: int) -> None:
+    """Raise the InputError of the first bad record in chunk, whose first
+    record is line first_line; blank records are skipped."""
+    for lineno, cells in enumerate(chunk, start=first_line):
         if not cells:
             continue
-        lineno = ln + 1
         if len(cells) != 4:
             raise InputError(f"line {lineno}: expected 4 fields, got {len(cells)}")
-        label = cells[0].strip()
-        if not label:
+        if not cells[0].strip():
             raise InputError(f"line {lineno}: empty stratum label")
-        values = []
         for name, cell in zip(("y", "x", "z"), cells[1:]):
             try:
                 v = float(cell)
@@ -261,23 +344,6 @@ def parse_microdata(text: str) -> Microdata:
                 ) from None
             if not math.isfinite(v):
                 raise InputError(f"line {lineno}: non-finite value in column {name}")
-            values.append(v)
-        if label not in groups:
-            labels.append(label)
-            groups[label] = []
-        groups[label].append((values[0], values[1], values[2]))
-
-    if not labels:
-        raise InputError("no records")
-    for label in labels:
-        if len(groups[label]) < 2:
-            raise InputError(
-                f"stratum {label!r} has {len(groups[label])} record(s); need at least 2"
-            )
-    return Microdata(
-        labels=tuple(labels),
-        groups=tuple(tuple(groups[label]) for label in labels),
-    )
 
 
 def summarize(micro: Microdata) -> PopulationSummary:

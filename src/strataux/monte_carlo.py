@@ -25,7 +25,6 @@ import hashlib
 import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from operator import itemgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -132,11 +131,8 @@ def generate_population(cfg: PopulationConfig) -> tuple[Microdata, PopulationSum
         vals += np.array([s.mean_y, s.mean_x, s.mean_z])
         labels.append(str(h))
         arrays.append(vals)
-    micro = Microdata(
-        labels=tuple(labels),
-        groups=tuple(tuple(map(tuple, vals.tolist())) for vals in arrays),
-    )
-    summary = _summarize_arrays(micro.labels, arrays)
+    micro = Microdata(labels=tuple(labels), arrays=tuple(arrays))
+    summary = _summarize_arrays(micro.labels, micro.arrays)
     for st in summary.strata:
         for name, mean, sd in (("y", st.ybar, st.s_y), ("x", st.xbar, st.s_x),
                                ("z", st.zbar, st.s_z)):
@@ -149,14 +145,14 @@ def generate_population(cfg: PopulationConfig) -> tuple[Microdata, PopulationSum
 
 
 def _check_micro_design(micro: Microdata, design: SampleDesign) -> None:
-    if len(design.n) != len(micro.groups):
+    if len(design.n) != len(micro.labels):
         raise InputError(
-            f"design has {len(design.n)} strata, population has {len(micro.groups)}"
+            f"design has {len(design.n)} strata, population has {len(micro.labels)}"
         )
-    for label, group, n_h in zip(micro.labels, micro.groups, design.n):
-        if n_h > len(group):
+    for label, N_h, n_h in zip(micro.labels, micro.sizes, design.n):
+        if n_h > N_h:
             raise InputError(
-                f"stratum {label!r}: sample size {n_h} exceeds population {len(group)}"
+                f"stratum {label!r}: sample size {n_h} exceeds population {N_h}"
             )
 
 
@@ -266,9 +262,9 @@ def draw_sample(
     _check_micro_design(micro, design)
     idx = _draw_indices(master_seed, range(stream, stream + 1), micro.sizes, design.n)
     picks = []
-    for group, rows in zip(micro.groups, idx):
-        got = itemgetter(*rows[0].tolist())(group)
-        picks.append(got if rows.shape[1] > 1 else (got,))
+    for vals, rows in zip(micro.arrays, idx):
+        values = iter(vals[rows[0]].ravel().tolist())
+        picks.append(tuple(zip(values, values, values)))  # (y, x, z) records
     return StratifiedSample(design=design, observations=tuple(picks))
 
 

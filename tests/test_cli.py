@@ -237,6 +237,22 @@ def test_exit_code_2_on_input_errors(tmp_path, capsys):
     assert "bad --design" in capsys.readouterr().err
 
 
+def test_oversized_csv_field_exits_2(tmp_path, capsys):
+    path = tmp_path / "big.csv"
+    path.write_text("stratum,y,x,z\nA,1,2,3\nA," + "9" * 200_000 + ",3,4\n")
+    assert main(["simulate", "--input", str(path), "--design", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "line 3: malformed CSV record: field larger than field limit" in err
+    assert "Traceback" not in err
+
+
+def test_non_utf8_input_exits_2(tmp_path, capsys):
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(b"stratum,y,x,z\nA,1,2,3\xff\nA,2,3,4\n")
+    assert main(["moments", "--input", str(path), "--design", "2"]) == 2
+    assert "cannot read" in capsys.readouterr().err
+
+
 def test_non_finite_summary_values_exit_2(tmp_path, capsys):
     pop, _ = embedded_kk2009()
     doc = json.loads(summary_to_json(pop))

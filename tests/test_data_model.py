@@ -1,9 +1,14 @@
 """Parsing, summaries, serialization and covariance reconciliation."""
+import csv
 import dataclasses
+import io
 import math
+import random
 
+import numpy as np
 import pytest
 
+from strataux import data_model
 from strataux import (
     InputError,
     Microdata,
@@ -67,6 +72,183 @@ def test_parse_microdata_errors_name_the_spot():
         parse_microdata("stratum,y,x,z\nA,1,2,3\nA,2,3,4\nB,1,1,1\n")
 
 
+def _reference_parse(text):
+    """The record-at-a-time parser that parse_microdata replaced, kept as
+    its oracle: (labels, groups of (y, x, z) tuples) or its InputError."""
+    rows = list(csv.reader(io.StringIO(text)))
+    line = 0
+    header = None
+    while line < len(rows):
+        if rows[line]:
+            header = [c.strip() for c in rows[line]]
+            break
+        line += 1
+    if header is None:
+        raise InputError("empty input: expected header stratum,y,x,z")
+    if header != ["stratum", "y", "x", "z"]:
+        raise InputError(f"bad header {','.join(header)!r}: expected stratum,y,x,z")
+
+    labels = []
+    groups = {}
+    for ln in range(line + 1, len(rows)):
+        cells = rows[ln]
+        if not cells:
+            continue
+        lineno = ln + 1
+        if len(cells) != 4:
+            raise InputError(f"line {lineno}: expected 4 fields, got {len(cells)}")
+        label = cells[0].strip()
+        if not label:
+            raise InputError(f"line {lineno}: empty stratum label")
+        values = []
+        for name, cell in zip(("y", "x", "z"), cells[1:]):
+            try:
+                v = float(cell)
+            except ValueError:
+                raise InputError(
+                    f"line {lineno}: non-numeric value {cell.strip()!r} in column {name}"
+                ) from None
+            if not math.isfinite(v):
+                raise InputError(f"line {lineno}: non-finite value in column {name}")
+            values.append(v)
+        if label not in groups:
+            labels.append(label)
+            groups[label] = []
+        groups[label].append((values[0], values[1], values[2]))
+
+    if not labels:
+        raise InputError("no records")
+    for label in labels:
+        if len(groups[label]) < 2:
+            raise InputError(
+                f"stratum {label!r} has {len(groups[label])} record(s); need at least 2"
+            )
+    return tuple(labels), tuple(tuple(groups[label]) for label in labels)
+
+
+def _assert_parses_like_reference(text):
+    """parse_microdata gives the oracle's labels, sizes and array bytes, or
+    its first error message."""
+    try:
+        labels, groups = _reference_parse(text)
+    except InputError as e:
+        with pytest.raises(InputError) as got:
+            parse_microdata(text)
+        assert str(got.value) == str(e)
+        return str(e)
+    micro = parse_microdata(text)
+    assert micro.labels == labels
+    assert micro.sizes == tuple(len(g) for g in groups)
+    for arr, group in zip(micro.arrays, groups):
+        assert arr.tobytes() == np.array(group, dtype=np.float64).tobytes()
+    return None
+
+
+_LABELS = ("A", " B ", "h01", '"C,1"', '"D\nE"', '" F "', "7")
+_NUMBERS = ("1", "-2.5", "+.5", "1_000", " 3e2 ", "1E-3", "-0", "0.1", "12345678.9")
+
+
+def _random_csv(rnd, n_records, newline="\n"):
+    """A CSV of interleaved strata with blank lines, quoted labels holding
+    commas or newlines, padded labels and underscore or signed floats."""
+    labels = rnd.sample(_LABELS, rnd.randint(1, len(_LABELS)))
+    lines = ["", "stratum,y,x,z"] if rnd.random() < 0.3 else ["stratum,y,x,z"]
+    for _ in range(n_records):
+        if rnd.random() < 0.1:
+            lines.append("")
+        values = [rnd.choice(_NUMBERS) if rnd.random() < 0.5 else repr(rnd.gauss(50, 20))
+                  for _ in range(3)]
+        lines.append(",".join([rnd.choice(labels), *values]))
+    return newline.join(lines) + newline
+
+
+def test_parse_microdata_matches_the_record_parser_on_random_csvs(monkeypatch):
+    rnd = random.Random(2024)
+    for chunk in (1, 3, 7, data_model._CHUNK):
+        monkeypatch.setattr(data_model, "_CHUNK", chunk)
+        for _ in range(25):
+            newline = rnd.choice(("\n", "\r\n"))
+            text = _random_csv(rnd, rnd.randint(2, 40), newline)
+            _assert_parses_like_reference(text)
+
+
+def test_parse_microdata_matches_the_record_parser_across_chunks():
+    chunk = data_model._CHUNK
+    rnd = random.Random(5)
+    for n_records in (chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
+        text = _random_csv(rnd, n_records)
+        _assert_parses_like_reference(text)
+    # a bad record in the second chunk, after blank lines
+    lines = ["stratum,y,x,z", ""] + [f"S,{i},{2 * i + 1},{i % 7}" for i in range(chunk + 5)]
+    lines[chunk + 3] = "S,1,oops,2"
+    assert _assert_parses_like_reference("\n".join(lines) + "\n") == (
+        f"line {chunk + 4}: non-numeric value 'oops' in column x")
+
+
+def test_parse_microdata_reports_the_oracles_first_error(monkeypatch):
+    good = ["S,1,2,3", "S,2,5,7", "T,4,1,9", "T,5,3,3"]
+    bad = {
+        "fields": "S,1,2", "extra field": "S,1,2,3,4", "label": "  ,1,2,3",
+        "numeric": "S,1,two,3", "nan": "S,nan,2,3", "inf": "T,1,2,-inf",
+        "overflow": "T,1,1e999,3", "whitespace": "   ",
+    }
+    rnd = random.Random(11)
+    for chunk in (2, 3, data_model._CHUNK):
+        monkeypatch.setattr(data_model, "_CHUNK", chunk)
+        for kind, record in bad.items():
+            for at in range(len(good) + 1):
+                text = "\n".join(["stratum,y,x,z", *good[:at], record, *good[at:]]) + "\n"
+                assert _assert_parses_like_reference(text) is not None, kind
+        # two bad records: the one earlier in the file wins, chunks apart or not
+        for _ in range(40):
+            first, second = rnd.sample(sorted(bad), 2)
+            lines = ["stratum,y,x,z", *good]
+            i, j = sorted(rnd.sample(range(1, 12), 2))
+            lines[i:i] = [bad[first]]
+            lines[j:j] = [bad[second]]
+            _assert_parses_like_reference("\n".join(lines) + "\n")
+    # a non-finite value early, a field-count error chunks later
+    monkeypatch.setattr(data_model, "_CHUNK", 2)
+    text = "stratum,y,x,z\nS,1,2,3\nS,inf,2,3\n" + "S,1,2,3\n" * 6 + "S,1,2\n"
+    assert _assert_parses_like_reference(text) == "line 3: non-finite value in column y"
+    for text in ("", "\n\n", "a,b,c,d\n1,2,3,4\n", "stratum,y,x,z\n", "stratum,y,x,z\n\n",
+                 "stratum,y,x,z\nA,1,2,3\nA,2,3,4\nB,1,1,1\n", " stratum , y,x ,z\nA,1,2,3\n"):
+        _assert_parses_like_reference(text)
+
+
+def test_csv_tokenizer_errors_name_the_record():
+    big = "9" * 200_000
+    with pytest.raises(InputError, match="line 3: malformed CSV record: field larger"):
+        parse_microdata(f"stratum,y,x,z\nA,1,2,3\nA,{big},3,4\n")
+    with pytest.raises(InputError, match="line 1: malformed CSV record"):
+        parse_microdata(f"{big}\n")
+    # blank records count, and an earlier bad record in the chunk comes first
+    with pytest.raises(InputError, match="line 4: malformed CSV record: new-line"):
+        parse_microdata("stratum,y,x,z\nA,1,2,3\n\nA,1\r2,3,4\n")
+    with pytest.raises(InputError, match="line 2: non-numeric value 'x'"):
+        parse_microdata(f"stratum,y,x,z\nA,x,2,3\nA,{big},3,4\n")
+
+
+def test_microdata_value_semantics():
+    records = (((1.0, 2.0, 3.0), (4.0, 5.0, 6.0)), ((7.0, 8.0, 9.0),) * 3)
+    micro = Microdata.from_records(labels=("A", "B"), groups=records)
+    assert micro.sizes == (2, 3) and micro.n_records == 5
+    assert micro.groups == records
+    assert micro == parse_microdata(
+        "stratum,y,x,z\nA,1,2,3\nB,7,8,9\nA,4,5,6\nB,7,8,9\nB,7,8,9\n")
+    assert micro != Microdata.from_records(labels=("A", "C"), groups=records)
+    assert micro != Microdata.from_records(
+        labels=("A", "B"), groups=(records[0], ((7.0, 8.0, 9.0),) * 2))
+    assert micro != Microdata.from_records(
+        labels=("A", "B"), groups=(((1.0, 2.0, 3.0), (4.0, 5.0, -6.0)), records[1]))
+    for arr in micro.arrays:
+        assert arr.dtype == np.float64 and arr.flags.c_contiguous
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0, 0] = 0.0
+    with pytest.raises(InputError, match=r"\(y, x, z\) triples"):
+        Microdata(labels=("A",), arrays=(np.zeros((2, 2)),))
+
+
 def test_summarize_matches_direct_arithmetic():
     pop = summarize(parse_microdata(CSV_TWO_STRATA))
     a, b = pop.strata
@@ -95,8 +277,8 @@ def test_summarize_is_bit_identical_to_plain_fsum():
                 tuple(rnd.gauss(scale, scale / rnd.uniform(1, 50)) for _ in range(3))
                 for _ in range(rnd.randint(2, 60))
             ))
-        micro = Microdata(labels=tuple(str(h) for h in range(len(groups))),
-                          groups=tuple(groups))
+        micro = Microdata.from_records(labels=tuple(str(h) for h in range(len(groups))),
+                                       groups=tuple(groups))
         for s, group in zip(summarize(micro).strata, groups):
             N = len(group)
             cols = list(zip(*group))
@@ -186,7 +368,7 @@ def test_sample_shape_validation():
     with pytest.raises(InputError, match="sample has 1 observations"):
         StratifiedSample(design=design, observations=(((1.0, 2.0, 3.0),),))
     with pytest.raises(InputError, match="labels and groups"):
-        Microdata(labels=("A",), groups=())
+        Microdata.from_records(labels=("A",), groups=())
 
 
 # ------------------------------------------------------------ JSON summary

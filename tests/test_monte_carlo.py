@@ -129,7 +129,7 @@ def test_fingerprint_tracks_any_value_change(small_population):
     micro, _ = small_population
     groups = [list(map(list, g)) for g in micro.groups]
     groups[1][3][0] += 1e-9
-    bumped = Microdata(
+    bumped = Microdata.from_records(
         labels=micro.labels,
         groups=tuple(tuple(tuple(o) for o in g) for g in groups),
     )
@@ -257,7 +257,7 @@ def test_draw_sample_design_mismatch(small_population):
 
 
 def test_inclusion_is_uniform_across_streams():
-    micro = Microdata(labels=("A",), groups=(((0.0, 1.0, 1.0), (1.0, 2.0, 2.0)),))
+    micro = Microdata.from_records(labels=("A",), groups=(((0.0, 1.0, 1.0), (1.0, 2.0, 2.0)),))
     design = SampleDesign(n=(1,))
     draws = 40000
     first = sum(
