@@ -34,8 +34,6 @@ from .efficiency import (
 from .estimators import (
     ESTIMATOR_ORDER,
     point_estimate,
-    sample_regression_coeffs,
-    stratified_means,
 )
 from .moments import MomentSet, design_factors, moment_set
 from .monte_carlo import (
@@ -103,8 +101,6 @@ __all__ = [
     "reconcile_covariances",
     "reproduce_kk2009",
     "run_simulation",
-    "sample_regression_coeffs",
-    "stratified_means",
     "summarize",
     "summary_to_json",
     "tp_diagnostics",

@@ -244,6 +244,12 @@ class StratifiedSample:
                 raise InputError(
                     f"stratum {i}: sample has {len(obs)} observations, design says {n_h}"
                 )
+            try:
+                bad = set(map(len, obs)) != {3}
+            except TypeError:  # a record with no length
+                bad = True
+            if bad:
+                raise InputError(f"stratum {i}: every observation must be a (y, x, z) record")
 
 
 # records parse_microdata converts at a time: below the garbage collector's

@@ -28,8 +28,10 @@ from .data_model import (
     InputError,
     NumericalError,
     PopulationSummary,
+    SampleDesign,
     StratifiedSample,
 )
+from .moments import design_factors
 
 ESTIMATOR_ORDER = (
     "mean",
@@ -46,61 +48,41 @@ ESTIMATOR_ORDER = (
 _NEEDS_SLOPES = ("regression", "exp_regression")
 
 
-def stratified_means(
-    sample: StratifiedSample, pop: PopulationSummary
-) -> tuple[float, float, float]:
-    """Population-weighted sample means (ybar_st, xbar_st, zbar_st)."""
-    sample.design.check_against(pop)
-    w = pop.weights
-    out = []
-    for k in range(3):
-        out.append(
-            math.fsum(
-                w[i] * (math.fsum(obs[k] for obs in group) / len(group))
-                for i, group in enumerate(sample.observations)
-            )
-        )
-    return out[0], out[1], out[2]
+def sample_statistics(
+    pop: PopulationSummary, design: SampleDesign, samples: Sequence[np.ndarray]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stratified sample means and combined sample slopes of B samples.
 
-
-def sample_regression_coeffs(
-    sample: StratifiedSample, pop: PopulationSummary
-) -> tuple[float, float]:
-    """Combined sample slopes (b1, b2), the plug-in analogues of B1, B2.
-
+    samples holds each stratum's (3, B, n_h) array of (y, x, z) values,
+    C-ordered so that each mean sums its n_h values pairwise, the same
+    bits for one sample as for any batch; deviations are formed in place.
+    Returns the (3, B) means (ybar_st, xbar_st, zbar_st) and the slopes
+    b1, b2 of shape (B,), the plug-in analogues of B1, B2:
     b1 = sum_h W_h^2 f_h s_yxh / sum_h W_h^2 f_h s_xh^2 and b2 likewise
-    with z, with sample variances/covariances on the n_h - 1 divisor.
-    Strata sampled with a single unit carry no within-sample dispersion
-    and are skipped. Under a full census every f_h is zero and the slopes
-    are taken as 0 by convention (any value would do: the corrections they
-    multiply are exactly zero there).
+    with z, on the n_h - 1 divisor. Strata of one unit carry no
+    within-sample dispersion and are skipped; a zero denominator gives
+    nan. A census (every f_h zero) is the population: its means are
+    pop's exactly and its slopes 0, which the corrections they multiply
+    ignore.
     """
-    sample.design.check_against(pop)
-    if all(n_h == s.N for s, n_h in zip(pop.strata, sample.design.n)):
-        return 0.0, 0.0
-    N = pop.N
-    num1, den1, num2, den2 = [], [], [], []
-    for s, n_h, group in zip(pop.strata, sample.design.n, sample.observations):
-        f_h = 1.0 / n_h - 1.0 / s.N
-        if n_h < 2:
-            continue
-        g = (s.N / N) ** 2 * f_h
-        ys = [o[0] for o in group]
-        xs = [o[1] for o in group]
-        zs = [o[2] for o in group]
-        my = math.fsum(ys) / n_h
-        mx = math.fsum(xs) / n_h
-        mz = math.fsum(zs) / n_h
-        num1.append(g * math.fsum((y - my) * (x - mx) for y, x in zip(ys, xs)) / (n_h - 1))
-        den1.append(g * math.fsum((x - mx) ** 2 for x in xs) / (n_h - 1))
-        num2.append(g * math.fsum((y - my) * (z - mz) for y, z in zip(ys, zs)) / (n_h - 1))
-        den2.append(g * math.fsum((z - mz) ** 2 for z in zs) / (n_h - 1))
-    d1, d2 = math.fsum(den1), math.fsum(den2)
-    if d1 == 0.0:
-        raise NumericalError("sample slope b1 undefined: no x variation in the sample")
-    if d2 == 0.0:
-        raise NumericalError("sample slope b2 undefined: no z variation in the sample")
-    return math.fsum(num1) / d1, math.fsum(num2) / d2
+    factors = design_factors(pop, design)
+    B = samples[0].shape[1]
+    if all(f == 0.0 for _, f in factors):
+        return np.repeat([[pop.ybar], [pop.xbar], [pop.zbar]], B, axis=1), np.zeros(B), np.zeros(B)
+    means = np.zeros((3, B))
+    sums = np.zeros((4, B))  # sum_h W_h^2 f_h (s_yx, s_xx, s_yz, s_zz)
+    for sample, n_h, (w, f) in zip(samples, design.n, factors):
+        m = sample.mean(axis=-1)
+        means += w * m
+        if n_h >= 2:
+            scale = w ** 2 * f / (n_h - 1)
+            sample -= m[..., None]
+            dy, dx, dz = sample
+            for k, (a, b) in enumerate(((dy, dx), (dx, dx), (dy, dz), (dz, dz))):
+                sums[k] += scale * np.einsum("bn,bn->b", a, b)
+    den = sums[1::2]
+    b1, b2 = np.divide(sums[::2], den, out=np.full_like(den, np.nan), where=den != 0.0)
+    return means, b1, b2
 
 
 # Each estimator as a point of the tuned family
@@ -172,9 +154,11 @@ def point_estimate(
 ) -> float:
     """Evaluate one estimator on a drawn sample.
 
-    m1, m2 apply to exp_regression only (required there, finite). b1, b2
-    override the sample slopes for the two slope-bearing estimators; by
-    default the slopes come from sample_regression_coeffs.
+    The sample is the simulator's batch of one: sample_statistics gives its
+    means and slopes, so a replicate's estimate here equals run_simulation's
+    bit for bit. m1, m2 apply to exp_regression only (required there,
+    finite). b1, b2 override the sample slopes for the two slope-bearing
+    estimators.
     """
     if estimator not in ESTIMATOR_ORDER:
         raise InputError(f"unknown estimator {estimator!r}")
@@ -186,20 +170,28 @@ def point_estimate(
     if estimator not in _NEEDS_SLOPES and (b1 is not None or b2 is not None):
         raise InputError(f"b1/b2 are not parameters of {estimator!r}")
 
-    ybar_st, xbar_st, zbar_st = stratified_means(sample, pop)
-    if estimator == "ratio" and xbar_st == 0.0:
+    means, *slopes = sample_statistics(pop, sample.design, _batch_of_one(sample))
+    if estimator == "ratio" and means[1, 0] == 0.0:
         raise NumericalError("ratio estimator undefined: sample x mean is zero")
-    if estimator in _NEEDS_SLOPES and (b1 is None or b2 is None):
-        sb1, sb2 = sample_regression_coeffs(sample, pop)
-        b1 = sb1 if b1 is None else b1
-        b2 = sb2 if b2 is None else b2
+    for i, (given, var) in enumerate(((b1, "x"), (b2, "z"))):
+        if given is not None:
+            slopes[i] = np.array([given])
+        elif estimator in _NEEDS_SLOPES and math.isnan(slopes[i][0]):
+            raise NumericalError(
+                f"sample slope b{i + 1} undefined: no {var} variation in the sample")
 
     value = float(estimate_rows(
-        ((estimator, m1, m2),), np.array([ybar_st]), np.array([xbar_st]),
-        np.array([zbar_st]), pop.xbar, pop.zbar,
-        np.array([b1 if b1 is not None else 0.0]),
-        np.array([b2 if b2 is not None else 0.0]),
-    )[0, 0])
+        ((estimator, m1, m2),), *means, pop.xbar, pop.zbar, *slopes)[0, 0])
     if not math.isfinite(value):
         raise NumericalError(f"estimator {estimator!r} produced a non-finite value")
     return value
+
+
+def _batch_of_one(sample: StratifiedSample) -> list[np.ndarray]:
+    """Each stratum's observations as the (3, 1, n_h) batch of one that
+    sample_statistics takes."""
+    try:
+        return [np.array(obs, dtype=np.float64).reshape(len(obs), 3).T.copy()[:, None]
+                for obs in sample.observations]
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"sample values must be numbers: {exc}") from None

@@ -43,9 +43,9 @@ from .data_model import (
     document_entries,
     summarize,
 )
-from .estimators import ESTIMATOR_ORDER, estimate_rows
+from .estimators import ESTIMATOR_ORDER, estimate_rows, sample_statistics
 from .moments import moment_set
-from .mse_theory import mse_classic, mse_tp, optimal_m, variance_mean
+from .mse_theory import mse_classic, mse_tp, optimal_m
 
 _MASK64 = (1 << 64) - 1
 _POP_STREAM_BASE = 1 << 63
@@ -352,44 +352,20 @@ def run_simulation(
                 continue
             m1s, m2s = optimal_m(mset)
             row_plan.append(("exp_regression_opt", e, m1s, m2s, mse_tp(mset, m1s, m2s).mse))
-        elif e == "mean":
-            row_plan.append((e, e, None, None, variance_mean(mset)))
         else:
             row_plan.append((e, e, None, None, mse_classic(e, mset)))
 
     kernel_rows = [(base, rm1, rm2) for _, base, rm1, rm2, _ in row_plan]
     values = [a.T.copy() for a in micro.arrays]  # (3, N_h) per stratum
-    N = pop.N
-    weights = [s.N / N for s in pop.strata]
-    # per-stratum factor of the slope sums; strata of one unit carry none
-    scales = [
-        (s.N / N) ** 2 * (1.0 / n_h - 1.0 / s.N) / (n_h - 1) if n_h >= 2 else None
-        for s, n_h in zip(pop.strata, design.n)
-    ]
-
     out = np.empty((len(row_plan), R))
     block = max(1, min(_BLOCK, _BLOCK_UNITS // design.total))
     for lo in range(0, R, block):
         hi = min(lo + block, R)
         idx = _draw_indices(master_seed, range(lo, hi), micro.sizes, design.n)
-        means = np.zeros((3, hi - lo))
-        sums = np.zeros((4, hi - lo))  # sum_h scale_h * (s_yx, s_xx, s_yz, s_zz)
-        for vals, picks, w, scale in zip(values, idx, weights, scales):
-            # (3, B, n_h), C-ordered so each mean sums its n_h values pairwise
-            # exactly as ndarray.mean does on one replicate's sample
-            sample = np.take(vals, picks, axis=1)
-            m = sample.mean(axis=-1)
-            means += w * m
-            if scale is not None:
-                sample -= m[..., None]
-                dy, dx, dz = sample
-                for k, (a, b) in enumerate(((dy, dx), (dx, dx), (dy, dz), (dz, dz))):
-                    sums[k] += scale * np.einsum("bn,bn->b", a, b)
-        if mset.census:
-            b1 = b2 = np.zeros(hi - lo)  # the corrections they multiply are exactly zero
-        else:
-            with np.errstate(all="ignore"):
-                b1, b2 = sums[0] / sums[1], sums[2] / sums[3]
+        # each stratum's block as (3, B, n_h), the shape point_estimate's
+        # batch of one has, so every replicate gets the same bits as there
+        samples = [np.take(vals, picks, axis=1) for vals, picks in zip(values, idx)]
+        means, b1, b2 = sample_statistics(pop, design, samples)
         out[:, lo:hi] = estimate_rows(kernel_rows, *means, xbar, zbar, b1, b2)
 
     rows = []

@@ -12,10 +12,22 @@ from strataux import (
     draw_sample,
     parse_microdata,
     point_estimate,
-    sample_regression_coeffs,
-    stratified_means,
     summarize,
 )
+from strataux.estimators import _batch_of_one, sample_statistics
+
+
+def sample_means(sample, pop):
+    """(ybar_st, xbar_st, zbar_st) of one sample, from the shared step."""
+    means, _, _ = sample_statistics(pop, sample.design, _batch_of_one(sample))
+    return tuple(means[:, 0].tolist())
+
+
+def sample_slopes(sample, pop):
+    """(b1, b2) of one sample, from the shared step; nan where undefined."""
+    _, b1, b2 = sample_statistics(pop, sample.design, _batch_of_one(sample))
+    return float(b1[0]), float(b2[0])
+
 
 MICRO_TEXT = """stratum,y,x,z
 A,3,11,6
@@ -51,7 +63,7 @@ def test_estimator_order_is_fixed():
 def test_stratified_means_match_direct_weighting(micro, pop):
     design = SampleDesign(n=(2, 3))
     sample = draw_sample(micro, design, master_seed=5, stream=0)
-    yb, xb, zb = stratified_means(sample, pop)
+    yb, xb, zb = sample_means(sample, pop)
     w = pop.weights
     want_y = sum(
         w[i] * sum(o[0] for o in g) / len(g)
@@ -81,7 +93,7 @@ def test_known_values_on_a_fixed_sample(micro, pop):
             ((20.0, 30.0, 40.0), (26.0, 34.0, 46.0)),
         ),
     )
-    yb, xb, zb = stratified_means(sample, pop)
+    yb, xb, zb = sample_means(sample, pop)
     w1, w2 = pop.weights
     assert yb == pytest.approx(w1 * 4.0 + w2 * 23.0, rel=1e-15)
     assert xb == pytest.approx(w1 * 12.5 + w2 * 32.0, rel=1e-15)
@@ -150,7 +162,7 @@ def test_parameter_policing(micro, pop):
 def test_sample_slopes_match_direct_computation(micro, pop):
     design = SampleDesign(n=(3, 4))
     sample = draw_sample(micro, design, master_seed=21)
-    b1, b2 = sample_regression_coeffs(sample, pop)
+    b1, b2 = sample_slopes(sample, pop)
 
     num1 = den1 = num2 = den2 = 0.0
     for i, (obs, n_h) in enumerate(zip(sample.observations, design.n)):
@@ -175,11 +187,14 @@ def test_sample_slopes_match_direct_computation(micro, pop):
 def test_single_unit_strata_cannot_support_slopes(micro, pop):
     sample = draw_sample(micro, SampleDesign(n=(1, 1)), master_seed=2)
     with pytest.raises(NumericalError, match="no x variation in the sample"):
-        sample_regression_coeffs(sample, pop)
+        point_estimate("regression", sample, pop)
+    with pytest.raises(NumericalError, match="no z variation in the sample"):
+        point_estimate("regression", sample, pop, b1=0.5)
+    assert all(math.isnan(b) for b in sample_slopes(sample, pop))
     # mixed case: the n_h = 1 stratum drops out, the other carries the slope
     design = SampleDesign(n=(1, 4))
     sample = draw_sample(micro, design, master_seed=2)
-    b1, _ = sample_regression_coeffs(sample, pop)
+    b1, _ = sample_slopes(sample, pop)
     obs = sample.observations[1]
     s = pop.strata[1]
     my = sum(o[0] for o in obs) / 4
@@ -191,7 +206,25 @@ def test_single_unit_strata_cannot_support_slopes(micro, pop):
 
 def test_census_sample_slopes_are_zero_by_convention(micro, pop):
     sample = draw_sample(micro, SampleDesign(n=(4, 5)), master_seed=5)
-    assert sample_regression_coeffs(sample, pop) == (0.0, 0.0)
+    assert sample_slopes(sample, pop) == (0.0, 0.0)
+    # a census sample is the population, so its means are the population's
+    assert sample_means(sample, pop) == (pop.ybar, pop.xbar, pop.zbar)
+
+
+def test_malformed_sample_records_are_input_errors(pop):
+    design = SampleDesign(n=(1, 1))
+    good = (20.0, 30.0, 40.0)
+    for first, second, stratum in (
+        (((3.0, 11.0),), (good,), 1),              # two fields
+        ((good,), ((3.0, 11.0, 6.0, 1.0),), 2),    # four fields
+        ((3.0,), (good,), 1),                      # a bare value, not a record
+    ):
+        with pytest.raises(InputError, match=f"stratum {stratum}: every observation"):
+            StratifiedSample(design=design, observations=(first, second))
+    for record in ((3.0, "n/a", 6.0), ((3.0, 1.0), (11.0, 2.0), (6.0, 3.0))):
+        sample = StratifiedSample(design=design, observations=((record,), (good,)))
+        with pytest.raises(InputError, match="sample values must be numbers"):
+            point_estimate("mean", sample, pop)
 
 
 def test_exactly_linear_sample_recovers_the_slope():
@@ -201,7 +234,7 @@ def test_exactly_linear_sample_recovers_the_slope():
         design=SampleDesign(n=(3,)),
         observations=(((2.0, 1.0, 4.0), (4.0, 2.0, 7.0), (6.0, 3.0, 9.0)),),
     )
-    b1, _ = sample_regression_coeffs(sample, pop)
+    b1, _ = sample_slopes(sample, pop)
     assert b1 == 2.0  # y is exactly 2x in the sample
 
 
@@ -214,7 +247,7 @@ def test_empirically_uncorrelated_sample_gives_zero_slope():
             ((1.0, 1.0, 4.0), (2.0, 2.0, 7.0), (2.0, 1.0, 9.0), (1.0, 2.0, 13.0)),
         ),
     )
-    b1, _ = sample_regression_coeffs(sample, pop)
+    b1, _ = sample_slopes(sample, pop)
     assert b1 == 0.0  # the four drawn (y, x) pairs cancel exactly
 
 
@@ -229,7 +262,7 @@ def test_zero_sample_auxiliary_mean_is_an_error():
 
 def test_overflowing_tuning_exponent_is_reported(micro, pop):
     sample = draw_sample(micro, SampleDesign(n=(2, 3)), master_seed=5)
-    _, xb, _ = stratified_means(sample, pop)
+    _, xb, _ = sample_means(sample, pop)
     u = (pop.xbar - xb) / (pop.xbar + xb)
     assert u != 0.0
     big = 1e7 if u > 0 else -1e7
