@@ -39,7 +39,7 @@ from .monte_carlo import (
     generator_config,
     run_simulation,
 )
-from .mse_theory import classic_breakdown, min_mse_tp, mse_tp, optimal_m, tp_diagnostics
+from .mse_theory import classic_breakdown, mse_tp, optimal_m, tp_diagnostics
 
 _FORMATS = ("text", "csv", "json")
 _POLICIES = ("prefer-correlation", "prefer-covariance", "strict")
@@ -135,7 +135,7 @@ def _load_summary(path: str, policy: str) -> tuple[PopulationSummary, int]:
 
 
 def _provenance(args, extra: Optional[dict] = None) -> dict:
-    out = {"policy": getattr(args, "policy", "prefer-correlation")}
+    out = {"policy": args.policy}
     out["formulas"] = "implemented (as-printed variants appear only under diagnostics)"
     if extra:
         out.update(extra)
@@ -159,7 +159,7 @@ def _cmd_mse(args) -> int:
     m = moment_set(pop, _parse_design(args.design))
     m1s, m2s = optimal_m(m)
     breakdowns = [
-        min_mse_tp(m) if e == "exp_regression" else classic_breakdown(e, m)
+        mse_tp(m, m1s, m2s) if e == "exp_regression" else classic_breakdown(e, m)
         for e in ESTIMATOR_ORDER
     ]
     if args.m1 is not None or args.m2 is not None:
@@ -199,7 +199,7 @@ def _cmd_mse(args) -> int:
 def _cmd_pre(args) -> int:
     pop, repaired = _load_summary(args.input, args.policy)
     m = moment_set(pop, _parse_design(args.design))
-    report = pre_table(m, provenance=f"policy={args.policy}")
+    report = pre_table(m)
     dom = dominance_report(m) if not m.census else ()
     footer = _provenance(args, {
         "repaired_pairs": repaired,
@@ -321,11 +321,10 @@ def _cmd_reproduce(args) -> int:
                  before=["PRE reproduction, embedded six-stratum dataset"], after=after)
 
 
-def _add_common(p: argparse.ArgumentParser, need_input: bool = True) -> None:
-    if need_input:
-        p.add_argument("--input", required=True, help="microdata csv or summary json")
-        p.add_argument("--design", required=True,
-                       help="per-stratum sample sizes, e.g. 31,21,29,38,22,39")
+def _add_common(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--input", required=True, help="microdata csv or summary json")
+    p.add_argument("--design", required=True,
+                   help="per-stratum sample sizes, e.g. 31,21,29,38,22,39")
     p.add_argument("--policy", choices=_POLICIES, default="prefer-correlation")
     p.add_argument("--format", choices=_FORMATS, default="text")
 
@@ -366,7 +365,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("reproduce-kk2009",
                        help="reproduce the embedded dataset's efficiency table")
-    _add_common(p, need_input=False)
+    p.add_argument("--format", choices=_FORMATS, default="text")
     p.set_defaults(func=_cmd_reproduce)
 
     return parser

@@ -183,13 +183,32 @@ class SampleDesign:
                 )
 
 
+def _record_array(records, where: str) -> np.ndarray:
+    """(y, x, z) records as a read-only, C-contiguous (n, 3) float64 array; a
+    view when records already is one, so nothing is copied and the caller's
+    array keeps its flags. InputError for a misshapen record or a non-number."""
+    try:
+        a = np.ascontiguousarray(records, dtype=np.float64).view()
+        if a.ndim != 2 or a.shape[1] != 3:
+            raise ValueError(f"shape {a.shape}")
+    except (TypeError, ValueError) as exc:  # misshapen, ragged or non-numeric
+        raise InputError(
+            f"{where}: every observation must be a (y, x, z) record of numbers ({exc})") from None
+    a.flags.writeable = False
+    return a
+
+
+def _same_records(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> bool:
+    return all(x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in zip(a, b))
+
+
 @dataclass(frozen=True, eq=False)
 class Microdata:
     """Population records grouped by stratum, in first-appearance label order.
 
-    Each stratum is one read-only, C-contiguous (N_h, 3) float64 array of
-    (y, x, z) rows; equality compares labels, shapes and bytes. groups holds
-    the same records as tuples, built on first use.
+    Each stratum's (y, x, z) records, a sequence or an array, are held as one
+    read-only, C-contiguous (N_h, 3) float64 array; equality compares labels,
+    shapes and bytes. groups holds the same records as tuples, built on first use.
     """
 
     labels: tuple[str, ...]
@@ -198,23 +217,12 @@ class Microdata:
     def __post_init__(self) -> None:
         if len(self.labels) != len(self.arrays):
             raise InputError("labels and groups length mismatch")
-        # read-only views: the caller's own arrays keep their flags
-        arrays = tuple(np.ascontiguousarray(a, dtype=np.float64).view() for a in self.arrays)
-        for a in arrays:
-            if a.ndim != 2 or a.shape[1] != 3:
-                raise InputError("microdata records must be (y, x, z) triples")
-            a.flags.writeable = False
-        object.__setattr__(self, "arrays", arrays)
-
-    @classmethod
-    def from_records(cls, labels: Sequence[str], groups: Sequence) -> "Microdata":
-        """Microdata from each stratum's sequence of (y, x, z) records."""
-        return cls(tuple(labels), tuple(np.array(g, dtype=np.float64) for g in groups))
+        object.__setattr__(self, "arrays", tuple(
+            _record_array(a, f"stratum {label!r}") for label, a in zip(self.labels, self.arrays)))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Microdata) and self.labels == other.labels and all(
-            a.shape == b.shape and a.tobytes() == b.tobytes()
-            for a, b in zip(self.arrays, other.arrays))
+        return (isinstance(other, Microdata) and self.labels == other.labels
+                and _same_records(self.arrays, other.arrays))
 
     @property
     def sizes(self) -> tuple[int, ...]:
@@ -229,27 +237,29 @@ class Microdata:
         return tuple(tuple(map(tuple, a.tolist())) for a in self.arrays)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StratifiedSample:
-    """Observations drawn by SRSWOR within each stratum."""
+    """Observations drawn by SRSWOR within each stratum, held as Microdata
+    holds a stratum: one read-only (n_h, 3) float64 array of (y, x, z) rows."""
 
     design: SampleDesign
-    observations: tuple[tuple[tuple[float, float, float], ...], ...]
+    observations: tuple[np.ndarray, ...]
 
     def __post_init__(self) -> None:
         if len(self.observations) != len(self.design.n):
             raise InputError("sample strata do not match the design")
-        for i, (obs, n_h) in enumerate(zip(self.observations, self.design.n), start=1):
+        observations = tuple(_record_array(obs, f"stratum {i}")
+                             for i, obs in enumerate(self.observations, start=1))
+        for i, (obs, n_h) in enumerate(zip(observations, self.design.n), start=1):
             if len(obs) != n_h:
                 raise InputError(
                     f"stratum {i}: sample has {len(obs)} observations, design says {n_h}"
                 )
-            try:
-                bad = set(map(len, obs)) != {3}
-            except TypeError:  # a record with no length
-                bad = True
-            if bad:
-                raise InputError(f"stratum {i}: every observation must be a (y, x, z) record")
+        object.__setattr__(self, "observations", observations)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, StratifiedSample) and self.design == other.design
+                and _same_records(self.observations, other.observations))
 
 
 # records parse_microdata converts at a time: below the garbage collector's

@@ -55,7 +55,6 @@ class PreReport:
     """Per-estimator MSE, PRE, rank and gap against the tuned optimum."""
 
     rows: tuple[PreRow, ...]
-    provenance: str
     m1_opt: Optional[float]
     m2_opt: Optional[float]
 
@@ -73,7 +72,7 @@ def _ranked(mses: list[tuple[str, float]]) -> dict[str, int]:
     return {name: i + 1 for i, (_, _, name) in enumerate(eligible)}
 
 
-def pre_table(m: MomentSet, provenance: str = "unspecified") -> PreReport:
+def pre_table(m: MomentSet) -> PreReport:
     """PRE table over all nine estimators, tuned one at its optimum.
 
     Requires the tuned optimum to exist (positive definite auxiliary
@@ -85,7 +84,7 @@ def pre_table(m: MomentSet, provenance: str = "unspecified") -> PreReport:
                    delta_vs_tuned=None, warning=_CENSUS_WARNING)
             for e in ESTIMATOR_ORDER
         )
-        return PreReport(rows=rows, provenance=provenance, m1_opt=None, m2_opt=None)
+        return PreReport(rows=rows, m1_opt=None, m2_opt=None)
 
     tuned = min_mse_tp(m)
     variance = variance_mean(m)
@@ -114,10 +113,7 @@ def pre_table(m: MomentSet, provenance: str = "unspecified") -> PreReport:
                 delta_vs_tuned=mse - tuned.mse, warning=warning,
             )
         )
-    return PreReport(
-        rows=tuple(rows), provenance=provenance,
-        m1_opt=tuned.m1, m2_opt=tuned.m2,
-    )
+    return PreReport(rows=tuple(rows), m1_opt=tuned.m1, m2_opt=tuned.m2)
 
 
 @dataclass(frozen=True)
@@ -216,12 +212,10 @@ def reproduce_kk2009() -> ReproduceReport:
     m_cov = moment_set(pop_cov, design)
     cov_col, _, cov_note = _pre_column(m_cov)
 
-    published_rank = {
-        e: r + 1
-        for r, (e, _) in enumerate(
-            sorted(PUBLISHED_PRE.items(), key=lambda kv: -kv[1])
-        )
-    }
+    published_ranking = tuple(
+        e for e, _ in sorted(PUBLISHED_PRE.items(), key=lambda kv: -kv[1])
+    )
+    published_rank = {e: r for r, e in enumerate(published_ranking, start=1)}
     rows = []
     for e in ESTIMATOR_ORDER:
         mse, pre, rank, warning = headline_col[e]
@@ -239,9 +233,6 @@ def reproduce_kk2009() -> ReproduceReport:
             )
         )
 
-    published_ranking = tuple(
-        e for e, _ in sorted(PUBLISHED_PRE.items(), key=lambda kv: -kv[1])
-    )
     computed_ranking = tuple(
         r.estimator for r in sorted(
             (r for r in rows if r.rank is not None), key=lambda r: r.rank

@@ -154,11 +154,12 @@ def point_estimate(
 ) -> float:
     """Evaluate one estimator on a drawn sample.
 
-    The sample is the simulator's batch of one: sample_statistics gives its
-    means and slopes, so a replicate's estimate here equals run_simulation's
-    bit for bit. m1, m2 apply to exp_regression only (required there,
-    finite). b1, b2 override the sample slopes for the two slope-bearing
-    estimators.
+    The sample is the simulator's batch of one: each stratum's (n_h, 3)
+    observations go to sample_statistics as a C-ordered (3, 1, n_h) copy,
+    the shape of a simulator block, so a replicate's estimate here equals
+    run_simulation's bit for bit. m1, m2 apply to exp_regression only
+    (required there, finite). b1, b2 override the sample slopes for the two
+    slope-bearing estimators.
     """
     if estimator not in ESTIMATOR_ORDER:
         raise InputError(f"unknown estimator {estimator!r}")
@@ -170,7 +171,8 @@ def point_estimate(
     if estimator not in _NEEDS_SLOPES and (b1 is not None or b2 is not None):
         raise InputError(f"b1/b2 are not parameters of {estimator!r}")
 
-    means, *slopes = sample_statistics(pop, sample.design, _batch_of_one(sample))
+    means, *slopes = sample_statistics(
+        pop, sample.design, [obs.T.copy()[:, None] for obs in sample.observations])
     if estimator == "ratio" and means[1, 0] == 0.0:
         raise NumericalError("ratio estimator undefined: sample x mean is zero")
     for i, (given, var) in enumerate(((b1, "x"), (b2, "z"))):
@@ -185,13 +187,3 @@ def point_estimate(
     if not math.isfinite(value):
         raise NumericalError(f"estimator {estimator!r} produced a non-finite value")
     return value
-
-
-def _batch_of_one(sample: StratifiedSample) -> list[np.ndarray]:
-    """Each stratum's observations as the (3, 1, n_h) batch of one that
-    sample_statistics takes."""
-    try:
-        return [np.array(obs, dtype=np.float64).reshape(len(obs), 3).T.copy()[:, None]
-                for obs in sample.observations]
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"sample values must be numbers: {exc}") from None

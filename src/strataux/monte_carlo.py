@@ -258,14 +258,12 @@ def _floyd_select(t: np.ndarray, k: np.ndarray, top: np.ndarray,
 def draw_sample(
     micro: Microdata, design: SampleDesign, master_seed: int, stream: int = 0
 ) -> StratifiedSample:
-    """One stratified SRSWOR draw under the documented stream contract."""
+    """One stratified SRSWOR draw under the documented stream contract: each
+    stratum's observations are the rows of micro.arrays it picks, in pick order."""
     _check_micro_design(micro, design)
     idx = _draw_indices(master_seed, range(stream, stream + 1), micro.sizes, design.n)
-    picks = []
-    for vals, rows in zip(micro.arrays, idx):
-        values = iter(vals[rows[0]].ravel().tolist())
-        picks.append(tuple(zip(values, values, values)))  # (y, x, z) records
-    return StratifiedSample(design=design, observations=tuple(picks))
+    return StratifiedSample(design=design, observations=tuple(
+        vals[rows[0]] for vals, rows in zip(micro.arrays, idx)))
 
 
 def population_fingerprint(micro: Microdata) -> str:

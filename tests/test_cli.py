@@ -213,6 +213,15 @@ def test_reproduce_command_text(capsys):
     assert " 100 " in mean_line
 
 
+def test_reproduce_rejects_the_policy_flag(capsys):
+    # the command always runs both repairing policies, so there is nothing
+    # for --policy to choose
+    with pytest.raises(SystemExit) as exc:
+        main(["reproduce-kk2009", "--policy", "strict"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --policy" in capsys.readouterr().err
+
+
 def test_reproduce_command_json(capsys):
     assert main(["reproduce-kk2009", "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -231,22 +231,28 @@ def test_csv_tokenizer_errors_name_the_record():
 
 def test_microdata_value_semantics():
     records = (((1.0, 2.0, 3.0), (4.0, 5.0, 6.0)), ((7.0, 8.0, 9.0),) * 3)
-    micro = Microdata.from_records(labels=("A", "B"), groups=records)
+    micro = Microdata(labels=("A", "B"), arrays=records)
     assert micro.sizes == (2, 3) and micro.n_records == 5
     assert micro.groups == records
     assert micro == parse_microdata(
         "stratum,y,x,z\nA,1,2,3\nB,7,8,9\nA,4,5,6\nB,7,8,9\nB,7,8,9\n")
-    assert micro != Microdata.from_records(labels=("A", "C"), groups=records)
-    assert micro != Microdata.from_records(
-        labels=("A", "B"), groups=(records[0], ((7.0, 8.0, 9.0),) * 2))
-    assert micro != Microdata.from_records(
-        labels=("A", "B"), groups=(((1.0, 2.0, 3.0), (4.0, 5.0, -6.0)), records[1]))
+    assert micro != Microdata(labels=("A", "C"), arrays=records)
+    assert micro != Microdata(
+        labels=("A", "B"), arrays=(records[0], ((7.0, 8.0, 9.0),) * 2))
+    assert micro != Microdata(
+        labels=("A", "B"), arrays=(((1.0, 2.0, 3.0), (4.0, 5.0, -6.0)), records[1]))
     for arr in micro.arrays:
         assert arr.dtype == np.float64 and arr.flags.c_contiguous
         with pytest.raises(ValueError, match="read-only"):
             arr[0, 0] = 0.0
-    with pytest.raises(InputError, match=r"\(y, x, z\) triples"):
+    with pytest.raises(InputError, match=r"stratum 'A': every observation must be a \(y, x, z\)"):
         Microdata(labels=("A",), arrays=(np.zeros((2, 2)),))
+    # a C-contiguous float64 array is held as a read-only view, not a copy,
+    # and the caller's array keeps its flags
+    values = np.arange(12.0).reshape(4, 3)
+    held = Microdata(labels=("A",), arrays=(values,)).arrays[0]
+    assert np.shares_memory(held, values) and not held.flags.writeable
+    assert values.flags.writeable
 
 
 def test_summarize_matches_direct_arithmetic():
@@ -277,8 +283,8 @@ def test_summarize_is_bit_identical_to_plain_fsum():
                 tuple(rnd.gauss(scale, scale / rnd.uniform(1, 50)) for _ in range(3))
                 for _ in range(rnd.randint(2, 60))
             ))
-        micro = Microdata.from_records(labels=tuple(str(h) for h in range(len(groups))),
-                                       groups=tuple(groups))
+        micro = Microdata(labels=tuple(str(h) for h in range(len(groups))),
+                          arrays=tuple(groups))
         for s, group in zip(summarize(micro).strata, groups):
             N = len(group)
             cols = list(zip(*group))
@@ -368,7 +374,13 @@ def test_sample_shape_validation():
     with pytest.raises(InputError, match="sample has 1 observations"):
         StratifiedSample(design=design, observations=(((1.0, 2.0, 3.0),),))
     with pytest.raises(InputError, match="labels and groups"):
-        Microdata.from_records(labels=("A",), groups=())
+        Microdata(labels=("A",), arrays=())
+    # a non-numeric value or a ragged stratum, through both constructors
+    for records in (((1.0, 2.0, 3.0), (4.0, "n/a", 6.0)), ((1.0, 2.0, 3.0), (4.0, 5.0))):
+        with pytest.raises(InputError, match="stratum 1: every observation must be"):
+            StratifiedSample(design=design, observations=(records,))
+        with pytest.raises(InputError, match="stratum 'A': every observation must be"):
+            Microdata(labels=("A",), arrays=(records,))
 
 
 # ------------------------------------------------------------ JSON summary

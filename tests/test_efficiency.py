@@ -60,8 +60,7 @@ def test_published_values_stored_verbatim():
 
 
 def test_pre_table_matches_frozen_values(m_rho):
-    report = pre_table(m_rho, provenance="prefer-correlation")
-    assert report.provenance == "prefer-correlation"
+    report = pre_table(m_rho)
     assert [r.estimator for r in report.rows] == list(ESTIMATOR_ORDER)
     for row in report.rows:
         assert row.pre == pytest.approx(EXPECTED_PRE[row.estimator], rel=1e-10)

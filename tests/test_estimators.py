@@ -14,18 +14,23 @@ from strataux import (
     point_estimate,
     summarize,
 )
-from strataux.estimators import _batch_of_one, sample_statistics
+from strataux.estimators import sample_statistics
+
+
+def batch_of_one(sample):
+    """Each stratum's observations as the (3, 1, n_h) batch sample_statistics takes."""
+    return [obs.T.copy()[:, None] for obs in sample.observations]
 
 
 def sample_means(sample, pop):
     """(ybar_st, xbar_st, zbar_st) of one sample, from the shared step."""
-    means, _, _ = sample_statistics(pop, sample.design, _batch_of_one(sample))
+    means, _, _ = sample_statistics(pop, sample.design, batch_of_one(sample))
     return tuple(means[:, 0].tolist())
 
 
 def sample_slopes(sample, pop):
     """(b1, b2) of one sample, from the shared step; nan where undefined."""
-    _, b1, b2 = sample_statistics(pop, sample.design, _batch_of_one(sample))
+    _, b1, b2 = sample_statistics(pop, sample.design, batch_of_one(sample))
     return float(b1[0]), float(b2[0])
 
 
@@ -211,7 +216,7 @@ def test_census_sample_slopes_are_zero_by_convention(micro, pop):
     assert sample_means(sample, pop) == (pop.ybar, pop.xbar, pop.zbar)
 
 
-def test_malformed_sample_records_are_input_errors(pop):
+def test_malformed_sample_records_are_input_errors():
     design = SampleDesign(n=(1, 1))
     good = (20.0, 30.0, 40.0)
     for first, second, stratum in (
@@ -221,10 +226,12 @@ def test_malformed_sample_records_are_input_errors(pop):
     ):
         with pytest.raises(InputError, match=f"stratum {stratum}: every observation"):
             StratifiedSample(design=design, observations=(first, second))
+    # a non-numeric value, and records of nested sequences: rejected by the
+    # constructor, before any estimator sees them
     for record in ((3.0, "n/a", 6.0), ((3.0, 1.0), (11.0, 2.0), (6.0, 3.0))):
-        sample = StratifiedSample(design=design, observations=((record,), (good,)))
-        with pytest.raises(InputError, match="sample values must be numbers"):
-            point_estimate("mean", sample, pop)
+        with pytest.raises(InputError, match=r"stratum 1: every observation must be a "
+                                             r"\(y, x, z\) record of numbers"):
+            StratifiedSample(design=design, observations=((record,), (good,)))
 
 
 def test_exactly_linear_sample_recovers_the_slope():

@@ -129,9 +129,9 @@ def test_fingerprint_tracks_any_value_change(small_population):
     micro, _ = small_population
     groups = [list(map(list, g)) for g in micro.groups]
     groups[1][3][0] += 1e-9
-    bumped = Microdata.from_records(
+    bumped = Microdata(
         labels=micro.labels,
-        groups=tuple(tuple(tuple(o) for o in g) for g in groups),
+        arrays=tuple(tuple(tuple(o) for o in g) for g in groups),
     )
     assert population_fingerprint(bumped) != population_fingerprint(micro)
     assert len(population_fingerprint(micro)) == 64
@@ -166,11 +166,18 @@ def test_draw_sample_shapes_and_membership(small_population):
     design = SampleDesign(n=(7, 11))
     sample = draw_sample(micro, design, master_seed=3, stream=5)
     assert tuple(len(g) for g in sample.observations) == (7, 11)
-    for h, group in enumerate(sample.observations):
+    for h, (obs, n_h) in enumerate(zip(sample.observations, design.n)):
+        # the sample holds each stratum as Microdata does
+        assert obs.shape == (n_h, 3) and obs.dtype == np.float64
+        assert obs.flags.c_contiguous and not obs.flags.writeable
+        group = tuple(map(tuple, obs.tolist()))
         assert len(set(group)) == len(group)  # without replacement
         assert set(group) <= set(micro.groups[h])
+    assert sample == draw_sample(micro, design, master_seed=3, stream=5)
+    assert sample != draw_sample(micro, design, master_seed=3, stream=6)
     full = draw_sample(micro, SampleDesign(n=(40, 60)), master_seed=3)
-    for h, group in enumerate(full.observations):
+    for h, obs in enumerate(full.observations):
+        group = tuple(map(tuple, obs.tolist()))
         assert sorted(group) == sorted(micro.groups[h])  # census permutes
 
 
@@ -200,10 +207,11 @@ def test_draw_sample_follows_documented_stream_contract(small_population):
     sizes = [len(g) for g in micro.groups]
     highs = [high for N, n in zip(sizes, design.n) for high in range(N - n + 1, N + 1)]
     draws = rng.integers(0, np.array(highs)).tolist()
-    for group, n_h, drawn in zip(micro.groups, design.n, sample.observations):
+    for h, (group, n_h, drawn) in enumerate(zip(micro.groups, design.n, sample.observations)):
         idx = _python_floyd(draws[:n_h], len(group), n_h)
         del draws[:n_h]
-        assert tuple(group[i] for i in idx) == drawn
+        assert tuple(group[i] for i in idx) == tuple(map(tuple, drawn.tolist()))
+        assert drawn.tobytes() == micro.arrays[h][idx].tobytes()
 
 
 @pytest.mark.parametrize("sizes, n", [
@@ -257,7 +265,7 @@ def test_draw_sample_design_mismatch(small_population):
 
 
 def test_inclusion_is_uniform_across_streams():
-    micro = Microdata.from_records(labels=("A",), groups=(((0.0, 1.0, 1.0), (1.0, 2.0, 2.0)),))
+    micro = Microdata(labels=("A",), arrays=(((0.0, 1.0, 1.0), (1.0, 2.0, 2.0)),))
     design = SampleDesign(n=(1,))
     draws = 40000
     first = sum(
@@ -333,7 +341,7 @@ def test_simulator_draws_the_samples_draw_sample_draws(small_population, monkeyp
         for b, r in enumerate(streams):
             sample = draw_sample(micro, design, seed, stream=r)
             for group, rows, drawn in zip(micro.groups, idx, sample.observations):
-                assert tuple(group[i] for i in rows[b]) == drawn
+                assert tuple(group[i] for i in rows[b]) == tuple(map(tuple, drawn.tolist()))
 
 
 def test_single_replication_matches_point_estimates(small_population):
