@@ -18,6 +18,8 @@ import sys
 from dataclasses import asdict
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .data_model import (
     InputError,
     Microdata,
@@ -43,6 +45,7 @@ from .mse_theory import classic_breakdown, mse_tp, optimal_m, tp_diagnostics
 
 _FORMATS = ("text", "csv", "json")
 _POLICIES = ("prefer-correlation", "prefer-covariance", "strict")
+_FORMULAS = "implemented (as-printed variants appear only under diagnostics)"
 
 
 def _fmt(v) -> str:
@@ -134,18 +137,15 @@ def _load_summary(path: str, policy: str) -> tuple[PopulationSummary, int]:
     return reconciled, len(report.repaired)
 
 
-def _provenance(args, extra: Optional[dict] = None) -> dict:
-    out = {"policy": args.policy}
-    out["formulas"] = "implemented (as-printed variants appear only under diagnostics)"
-    if extra:
-        out.update(extra)
-    return out
+def _provenance(lead: dict, extra: dict) -> dict:
+    """A footer: lead's entries, the formulas line, then extra's."""
+    return {**lead, "formulas": _FORMULAS, **extra}
 
 
 def _cmd_moments(args) -> int:
     pop, repaired = _load_summary(args.input, args.policy)
     m = moment_set(pop, _parse_design(args.design))
-    footer = _provenance(args, {"repaired_pairs": repaired})
+    footer = _provenance({"policy": args.policy}, {"repaired_pairs": repaired})
     names = ("v200", "v020", "v002", "v110", "v101", "v011",
              "ybar", "xbar", "zbar", "b1", "b2")
     rows = [[n, getattr(m, n)] for n in names] + [["census", m.census]]
@@ -171,7 +171,7 @@ def _cmd_mse(args) -> int:
         args.m1 if args.m1 is not None else m1s,
         args.m2 if args.m2 is not None else m2s,
     )
-    footer = _provenance(args, {"repaired_pairs": repaired})
+    footer = _provenance({"policy": args.policy}, {"repaired_pairs": repaired})
     doc = {
         "command": "mse",
         "rows": [asdict(b) for b in breakdowns],
@@ -201,7 +201,7 @@ def _cmd_pre(args) -> int:
     m = moment_set(pop, _parse_design(args.design))
     report = pre_table(m)
     dom = dominance_report(m) if not m.census else ()
-    footer = _provenance(args, {
+    footer = _provenance({"policy": args.policy}, {
         "repaired_pairs": repaired,
         "m1_opt": _fmt(report.m1_opt),
         "m2_opt": _fmt(report.m2_opt),
@@ -249,7 +249,7 @@ def _cmd_simulate(args) -> int:
         estimators=estimators, m1=args.m1 if args.m1 is not None else 1.0,
         m2=args.m2 if args.m2 is not None else 1.0, workers=args.workers,
     )
-    footer = _provenance(args, {
+    footer = _provenance({"numpy": np.__version__}, {
         "seed": report.seed, "R": report.R, "generator": report.generator,
         "fingerprint": report.fingerprint,
     })
@@ -276,7 +276,7 @@ def _cmd_reproduce(args) -> int:
     report = reproduce_kk2009()
     footer = {
         "policy": "prefer-correlation (headline) and prefer-covariance (side column)",
-        "formulas": "implemented (as-printed variants appear only under diagnostics)",
+        "formulas": _FORMULAS,
     }
     doc = {
         "command": "reproduce-kk2009",
@@ -321,11 +321,12 @@ def _cmd_reproduce(args) -> int:
                  before=["PRE reproduction, embedded six-stratum dataset"], after=after)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_common(p: argparse.ArgumentParser, policy: bool = False) -> None:
     p.add_argument("--input", required=True, help="microdata csv or summary json")
     p.add_argument("--design", required=True,
                    help="per-stratum sample sizes, e.g. 31,21,29,38,22,39")
-    p.add_argument("--policy", choices=_POLICIES, default="prefer-correlation")
+    if policy:  # simulate never reconciles, so it has no policy to choose
+        p.add_argument("--policy", choices=_POLICIES, default="prefer-correlation")
     p.add_argument("--format", choices=_FORMATS, default="text")
 
 
@@ -337,17 +338,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("moments", help="aggregated relative moments and slopes")
-    _add_common(p)
+    _add_common(p, policy=True)
     p.set_defaults(func=_cmd_moments)
 
     p = sub.add_parser("mse", help="first-order MSE table, optimum and diagnostics")
-    _add_common(p)
+    _add_common(p, policy=True)
     p.add_argument("--m1", type=float, default=None)
     p.add_argument("--m2", type=float, default=None)
     p.set_defaults(func=_cmd_mse)
 
     p = sub.add_parser("pre", help="percent relative efficiency table")
-    _add_common(p)
+    _add_common(p, policy=True)
     p.set_defaults(func=_cmd_pre)
 
     p = sub.add_parser("simulate", help="SRSWOR Monte Carlo validation")

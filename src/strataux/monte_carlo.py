@@ -5,19 +5,18 @@ target moments, then frozen: all downstream theory uses the realized
 finite-population summaries, so the theory-vs-simulation comparison is not
 polluted by generator-target error.
 
-RNG contract (sampling contract v2, reported as GENERATOR_NAME
-"philox4x64-floyd"): every random draw comes from a counter-based
-Philox4x64 generator keyed by the pair (master_seed, stream_id). Stream
-ids 0..R-1 belong to the replications, one per replication index;
-population generation for stratum h uses stream id 2^63 + h, a disjoint
-namespace. A replication makes one rng.integers call for all its strata
-and selects each stratum's sample from those integers with Floyd's
-algorithm, at O(n_h) per stratum (see _draw_indices). Replications are
-therefore independent, order-free, and reproducible: reports depend
-neither on the simulator's block size nor on the ignored worker count,
-and any replicate can be re-drawn alone with draw_sample. Contract v1
-("philox4x64") took rng.permutation(N_h)[:n_h] per stratum; its samples,
-and so every simulated figure, differ from v2's.
+RNG contract v3 (GENERATOR_NAME "philox4x64-lemire-floyd"): a sample
+reads only raw 64-bit words of a counter-based Philox4x64-10 keyed
+(master_seed, stream), never a Generator method, whose streams numpy may
+change between versions (NEP 19). Replicate r reads its own counter blocks
+of stream 0, maps each word to a range by Lemire's multiply-shift and
+selects each stratum's sample by Floyd's algorithm at O(n_h) per stratum
+(see _draw_indices); population synthesis for stratum h uses stream
+2^63 + h. Reports depend neither on the block size nor on the ignored
+worker count, and any replicate can be re-drawn alone with draw_sample.
+Contract v1 ("philox4x64") took rng.permutation(N_h)[:n_h] per stratum
+and v2 ("philox4x64-floyd") one rng.integers call per replicate under the
+key (master_seed, r); each selects other samples than v3.
 """
 from __future__ import annotations
 
@@ -49,7 +48,7 @@ from .mse_theory import mse_classic, mse_tp, optimal_m
 
 _MASK64 = (1 << 64) - 1
 _POP_STREAM_BASE = 1 << 63
-GENERATOR_NAME = "philox4x64-floyd"
+GENERATOR_NAME = "philox4x64-lemire-floyd"
 # replicates per simulation block, fewer when that many would sample more
 # than _BLOCK_UNITS units: bounds the kernel's memory; results do not depend
 # on it
@@ -163,39 +162,46 @@ def _draw_indices(
     per stratum: row b holds stream streams[b]'s Floyd sample, in the order
     Floyd's algorithm selects it.
 
-    Each stream makes one call, rng.integers(0, highs), where highs runs
-    through N_h - n_h + 1, ..., N_h for each stratum in turn. Draw k of a
-    stratum, t_k in [0, J + k] with J = N_h - n_h, selects t_k unless an
-    earlier draw of that stratum already selected it, and J + k otherwise
-    (Bentley & Floyd 1987): every n_h-subset is equally likely, at O(n_h)
-    per stratum whatever N_h is. The selection runs over the whole block at
-    once (_floyd_select).
+    Column j of a stream is draw k of its stratum, strata in turn: t_k in
+    [0, J + k] with J = N_h - n_h selects itself unless an earlier draw of
+    the stratum already selected it, and J + k otherwise (Bentley & Floyd
+    1987), so every n_h-subset is equally likely at O(n_h) per stratum
+    (_floyd_select, over the whole block at once).
 
-    One Philox generator serves every stream. Later streams restore its
-    unused state (counter 0, empty buffer) under their own key, which
-    reproduces a freshly keyed generator exactly without constructing one.
+    With width = Σn_h and C = ceil(width / 4), stream r takes the raw words
+    of counter blocks r'·C + 1 .. r'·C + C, r' = r mod 2^64, of the
+    Philox4x64-10 keyed (seed mod 2^64, 0): column j is word j mapped by
+    _lemire to [0, J + k], and words past width are dropped. A block of
+    consecutive streams thus takes one advance and one random_raw call.
     """
-    bitgen = np.random.Philox(
-        key=np.array([master_seed & _MASK64, streams[0] & _MASK64], dtype=np.uint64))
-    rng = np.random.Generator(bitgen)
-    fresh = bitgen.state if len(streams) > 1 else None
     k, top, highs, base, ends = _draw_columns(tuple(sizes), tuple(n))
-    t = np.empty((len(streams), len(k)), dtype=base.dtype)
-    for b, stream in enumerate(streams):
-        if b:
-            fresh["state"]["key"][1] = stream & _MASK64
-            bitgen.state = fresh
-        t[b] = rng.integers(0, highs)
+    C = -(-len(k) // 4)
+    bitgen = np.random.Philox(key=np.array([master_seed & _MASK64, 0], dtype=np.uint64))
+    bitgen.advance((streams[0] & _MASK64) * C)
+    words = bitgen.random_raw(len(streams) * 4 * C).reshape(len(streams), 4 * C)
+    t = _lemire(words[:, :len(k)], highs).astype(base.dtype)
     _floyd_select(t, k, top, base)
     return [t[:, end - n_h:end] for end, n_h in zip(ends, n)]
+
+
+def _lemire(words: np.ndarray, highs: np.ndarray) -> np.ndarray:
+    """floor(w·high / 2^64) for uint64 words w and highs (Lemire, ACM TOMACS
+    2019), the high half of the exact 128-bit product from 32-bit limbs. No
+    rejection: each value takes floor(2^64 / high) words or one more, so a
+    draw is within high / 2^64 of uniform (under 6e-14 at high = 1e6)."""
+    low, shift = np.uint64(0xFFFFFFFF), np.uint64(32)
+    w1, w0, h1, h0 = words >> shift, words & low, highs >> shift, highs & low
+    cross1, cross0 = w1 * h0, w0 * h1
+    carry = ((w0 * h0) >> shift) + (cross1 & low) + (cross0 & low)
+    return w1 * h1 + (cross1 >> shift) + (cross0 >> shift) + (carry >> shift)
 
 
 @lru_cache(maxsize=8)
 def _draw_columns(sizes: tuple[int, ...], n: tuple[int, ...]):
     """Per-column constants of one replicate's draws, strata in turn: the
-    draw number k within its stratum, J + k and J + k + 1 (J = N_h - n_h),
-    the sort base of _floyd_select and each stratum's end column. top and
-    base are int32 when every sort code fits, halving the block's arrays."""
+    draw number k within its stratum, J + k, J + k + 1 as uint64 (J =
+    N_h - n_h), the sort base of _floyd_select and each stratum's end column.
+    top and base are int32 when every sort code fits, halving block arrays."""
     sizes, n = np.array(sizes), np.array(n)
     ends = np.cumsum(n)
     width = int(ends[-1])
@@ -204,7 +210,7 @@ def _draw_columns(sizes: tuple[int, ...], n: tuple[int, ...]):
     top = np.repeat(sizes - n, n) + k
     # units before the column's stratum, times the row width, plus the column
     base = np.repeat(np.cumsum(sizes) - sizes, n) * width + np.arange(width)
-    return k, top.astype(dtype), top + 1, base.astype(dtype), ends.tolist()
+    return k, top.astype(dtype), (top + 1).astype(np.uint64), base.astype(dtype), ends.tolist()
 
 
 def _floyd_select(t: np.ndarray, k: np.ndarray, top: np.ndarray,
@@ -356,13 +362,15 @@ def run_simulation(
     kernel_rows = [(base, rm1, rm2) for _, base, rm1, rm2, _ in row_plan]
     values = [a.T.copy() for a in micro.arrays]  # (3, N_h) per stratum
     out = np.empty((len(row_plan), R))
-    block = max(1, min(_BLOCK, _BLOCK_UNITS // design.total))
+    block = _BLOCK if mset.census else max(1, min(_BLOCK, _BLOCK_UNITS // design.total))
     for lo in range(0, R, block):
         hi = min(lo + block, R)
-        idx = _draw_indices(master_seed, range(lo, hi), micro.sizes, design.n)
-        # each stratum's block as (3, B, n_h), the shape point_estimate's
-        # batch of one has, so every replicate gets the same bits as there
-        samples = [np.take(vals, picks, axis=1) for vals, picks in zip(values, idx)]
+        if mset.census:  # sample_statistics returns the population, unread
+            samples = [np.empty((3, hi - lo, 0))] * len(values)
+        else:
+            idx = _draw_indices(master_seed, range(lo, hi), micro.sizes, design.n)
+            # (3, B, n_h) per stratum, as point_estimate's batch of one: same bits
+            samples = [np.take(vals, picks, axis=1) for vals, picks in zip(values, idx)]
         means, b1, b2 = sample_statistics(pop, design, samples)
         out[:, lo:hi] = estimate_rows(kernel_rows, *means, xbar, zbar, b1, b2)
 
@@ -372,10 +380,10 @@ def run_simulation(
         col = out[j]
         finite = np.isfinite(col)
         bad = int(R - int(finite.sum()))
-        vals = col[finite].tolist()
-        if vals:
-            emp_mean = math.fsum(vals) / len(vals)
-            emp_mse = math.fsum((v - ybar) ** 2 for v in vals) / len(vals)
+        vals = col[finite]
+        if len(vals):
+            emp_mean = math.fsum(vals.tolist()) / len(vals)
+            emp_mse = math.fsum(np.square(vals - ybar).tolist()) / len(vals)
         else:
             emp_mean = emp_mse = math.nan
         emp_bias = emp_mean - ybar

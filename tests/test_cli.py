@@ -3,6 +3,7 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from strataux import embedded_kk2009, summary_to_json
@@ -220,6 +221,20 @@ def test_reproduce_rejects_the_policy_flag(capsys):
         main(["reproduce-kk2009", "--policy", "strict"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --policy" in capsys.readouterr().err
+
+
+def test_simulate_rejects_the_policy_flag(config_file, capsys):
+    # a simulated population is never reconciled, so there is nothing for
+    # --policy to choose; the footer names the numpy version instead
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--input", config_file, "--design", "6,9", "--policy", "strict"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --policy" in capsys.readouterr().err
+    assert main(["simulate", "--input", config_file, "--design", "6,9", "--R", "5"]) == 0
+    footer = [l for l in capsys.readouterr().out.splitlines() if l.startswith("# ")]
+    assert footer[:2] == [f"# numpy: {np.__version__}", "# formulas: implemented "
+                          "(as-printed variants appear only under diagnostics)"]
+    assert "# generator: philox4x64-lemire-floyd" in footer
 
 
 def test_reproduce_command_json(capsys):

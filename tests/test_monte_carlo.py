@@ -192,21 +192,62 @@ def _python_floyd(draws, N, n):
     return chosen
 
 
+_MASK64 = (1 << 64) - 1
+
+
+def _python_philox(key, first, count):
+    """Philox4x64-10 in Python ints (Salmon et al., SC 2011; the Random123
+    constants): the four words of each counter block first .. first+count-1."""
+    out = []
+    for block in range(first, first + count):
+        c = [(block >> (64 * i)) & _MASK64 for i in range(4)]
+        k0, k1 = key
+        for _ in range(10):
+            p0, p1 = 0xD2E7470EE14C6C93 * c[0], 0xCA5A826395121157 * c[2]
+            c = [(p1 >> 64) ^ c[1] ^ k0, p1 & _MASK64, (p0 >> 64) ^ c[3] ^ k1, p0 & _MASK64]
+            k0, k1 = (k0 + 0x9E3779B97F4A7C15) & _MASK64, (k1 + 0xBB67AE8584CAA73B) & _MASK64
+        out += c
+    return out
+
+
+@pytest.mark.parametrize("seed, r, C", [
+    (0, 0, 1), (5, 3, 3), (2 ** 70 + 3, 9, 4), (2 ** 64 - 1, 2 ** 64 + 5, 25)])
+def test_python_philox_matches_the_raw_stream(seed, r, C):
+    # replicate r's counter blocks r'C + 1 .. r'C + C: numpy increments the
+    # counter before it generates, so advance(r'C) lands just before them
+    key = (seed & _MASK64, 0)
+    bitgen = np.random.Philox(key=np.array(key, dtype=np.uint64))
+    bitgen.advance((r & _MASK64) * C)
+    assert bitgen.random_raw(4 * C).tolist() == _python_philox(key, (r & _MASK64) * C + 1, C)
+
+
+@pytest.mark.parametrize("high", [1, 2, 7, 1_000_000, 2 ** 32 - 1, 2 ** 32, 2 ** 32 + 1,
+                                  3_000_000_000, 2 ** 63 - 1])
+def test_lemire_map_is_the_exact_high_product(high):
+    words = np.random.default_rng(high % 1000).integers(
+        0, 2 ** 64, size=500, dtype=np.uint64)
+    words[:2] = 0, _MASK64
+    got = monte_carlo._lemire(words[None, :], np.full(500, high, dtype=np.uint64))
+    assert got.shape == (1, 500)
+    assert got[0, 0] == 0 and got[0, 1] == high - 1
+    assert got.ravel().tolist() == [(w * high) >> 64 for w in words.tolist()]
+
+
 def test_draw_sample_follows_documented_stream_contract(small_population):
-    # replicate the documented generator: Philox keyed by
-    # (seed mod 2^64, stream mod 2^64), one integers call over every
-    # stratum's bounds N_h - n_h + 1 .. N_h, then Floyd per stratum in order
+    # replicate the documented contract v3: the raw words of counter blocks
+    # r'C + 1 .. r'C + C of Philox4x64-10 keyed (seed mod 2^64, 0), word j
+    # mapped to [0, high_j) by floor(w * high_j / 2^64), highs running
+    # through N_h - n_h + 1 .. N_h for each stratum, then Floyd per stratum
     micro, _ = small_population
     design = SampleDesign(n=(5, 8))
     seed, stream = 2 ** 70 + 3, 9
     sample = draw_sample(micro, design, seed, stream=stream)
 
-    mask = (1 << 64) - 1
-    key = np.array([seed & mask, stream & mask], dtype=np.uint64)
-    rng = np.random.Generator(np.random.Philox(key=key))
     sizes = [len(g) for g in micro.groups]
     highs = [high for N, n in zip(sizes, design.n) for high in range(N - n + 1, N + 1)]
-    draws = rng.integers(0, np.array(highs)).tolist()
+    C = -(-len(highs) // 4)
+    words = _python_philox((seed & _MASK64, 0), stream * C + 1, C)
+    draws = [(w * high) >> 64 for w, high in zip(words, highs)]
     for h, (group, n_h, drawn) in enumerate(zip(micro.groups, design.n, sample.observations)):
         idx = _python_floyd(draws[:n_h], len(group), n_h)
         del draws[:n_h]
@@ -286,7 +327,7 @@ def test_simulation_report_is_deterministic(small_population):
     assert a == b
     c = run_simulation(micro, design, R=300, master_seed=43)
     assert a != c
-    assert a.generator == GENERATOR_NAME == "philox4x64-floyd"
+    assert a.generator == GENERATOR_NAME == "philox4x64-lemire-floyd"
     assert a.fingerprint == population_fingerprint(micro)
     assert a.design == (6, 9)
     assert a.R == 300 and a.seed == 42
@@ -377,7 +418,9 @@ def test_block_kernel_matches_per_replicate_point_estimates(small_population):
         base = "exp_regression" if row.estimator == "exp_regression_opt" else row.estimator
         values = [point_estimate(base, s, pop, **kw) for s in samples]
         assert row.emp_mean == math.fsum(values) / R, row.estimator
-        mse = math.fsum((v - report.ybar) ** 2 for v in values) / R
+        # squares as products, as numpy squares: libm's pow(v, 2) can miss
+        # the correctly rounded square by one ulp
+        mse = math.fsum((v - report.ybar) * (v - report.ybar) for v in values) / R
         assert row.emp_mse == mse, row.estimator
 
 
@@ -425,6 +468,18 @@ def test_census_simulation_recovers_the_population_mean(small_population):
             if row.estimator != "ratio":  # ybar * Xbar / xbar may round
                 assert row.emp_mean == report.ybar, row.estimator
                 assert row.emp_mse == 0.0, row.estimator
+
+
+def test_census_simulation_draws_nothing(small_population, monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("a census design drew samples")
+
+    monkeypatch.setattr(monte_carlo, "_draw_indices", no_draw)
+    report = run_simulation(small_population[0], SampleDesign(n=(40, 60)), R=300,
+                            master_seed=5, estimators=("mean", "exp_regression"))
+    assert [row.emp_mse for row in report.rows] == [0.0, 0.0]
+    with pytest.raises(AssertionError, match="drew samples"):
+        run_simulation(small_population[0], SampleDesign(n=(40, 59)), R=3, master_seed=5)
 
 
 def test_runaway_exponents_fail_validation(small_population):
