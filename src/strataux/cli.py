@@ -4,8 +4,8 @@ Subcommands: moments, mse, pre, simulate, reproduce-kk2009. Every command
 is a pure function of its inputs and flags: rerunning with the same inputs
 produces byte-identical output (no timestamps, fixed float rendering).
 Text mode renders numbers to 6 significant digits; csv and json carry full
-precision. Exit codes: 0 success, 2 input error, 3 numerical error,
-4 validation failure.
+precision. Exit codes: 0 success, 1 stdout closed early, 2 input error,
+3 numerical error, 4 validation failure.
 """
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 from typing import Optional, Sequence
@@ -33,7 +34,7 @@ from .data_model import (
     reconcile_covariances,
     summarize,
 )
-from .efficiency import dominance_report, pre_table, reproduce_kk2009
+from .efficiency import pre_table, reproduce_kk2009
 from .estimators import ESTIMATOR_ORDER
 from .moments import moment_set
 from .monte_carlo import (
@@ -200,19 +201,12 @@ def _cmd_pre(args) -> int:
     pop, repaired = _load_summary(args.input, args.policy)
     m = moment_set(pop, _parse_design(args.design))
     report = pre_table(m)
-    dom = dominance_report(m) if not m.census else ()
     footer = _provenance({"policy": args.policy}, {
         "repaired_pairs": repaired,
         "m1_opt": _fmt(report.m1_opt),
         "m2_opt": _fmt(report.m2_opt),
     })
-    doc = {
-        "command": "pre",
-        "rows": [asdict(r) for r in report.rows],
-        "dominance": [asdict(d) for d in dom],
-        "m1_opt": report.m1_opt, "m2_opt": report.m2_opt,
-        "provenance": footer,
-    }
+    doc = {"command": "pre", **asdict(report), "provenance": footer}
     header = ["estimator", "mse", "pre", "rank", "delta_vs_tuned", "warning"]
     rows = [
         [r.estimator, r.mse, r.pre, r.rank, r.delta_vs_tuned, r.warning]
@@ -376,7 +370,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed pipe fails here, not at exit
+        return code
+    except BrokenPipeError:  # reader gone (`| head`): Python's recipe, stdout to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except InputError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

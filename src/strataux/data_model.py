@@ -15,7 +15,7 @@ import io
 import json
 import math
 from array import array
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from itertools import islice
 from typing import Iterator, Optional, Sequence
@@ -130,11 +130,12 @@ class PopulationSummary:
     def L(self) -> int:
         return len(self.strata)
 
-    @property
+    # totals derived once; cached_property writes __dict__, as a frozen dataclass allows
+    @cached_property
     def N(self) -> int:
         return sum(s.N for s in self.strata)
 
-    @property
+    @cached_property
     def weights(self) -> tuple[float, ...]:
         N = self.N
         return tuple(s.N / N for s in self.strata)
@@ -143,15 +144,15 @@ class PopulationSummary:
         w = self.weights
         return math.fsum(w[i] * getattr(s, field) for i, s in enumerate(self.strata))
 
-    @property
+    @cached_property
     def ybar(self) -> float:
         return self._weighted_mean("ybar")
 
-    @property
+    @cached_property
     def xbar(self) -> float:
         return self._weighted_mean("xbar")
 
-    @property
+    @cached_property
     def zbar(self) -> float:
         return self._weighted_mean("zbar")
 
@@ -470,7 +471,6 @@ def reconcile_covariances(
 
     entries: list[ReconciliationEntry] = []
     new_strata: list[StratumSummary] = []
-    violations: list[str] = []
     for s in summary.strata:
         updates: dict[str, float] = {}
         for pair in _PAIRS:
@@ -479,44 +479,34 @@ def reconcile_covariances(
             cov = getattr(s, f"s_{pair}")
             rho = getattr(s, f"rho_{pair}")
             disc = s.pair_discrepancy(pair)
-            cov_after, rho_after, note = cov, rho, ""
-            repaired = False
+            note = ""
             if policy == "prefer-correlation":
-                cov_after = rho * scale
-                repaired = disc > RECONCILE_TOL
-                updates[f"s_{pair}"] = cov_after
-            elif policy == "prefer-covariance":
-                if scale == 0.0:
-                    note = "zero SD; correlation not derivable, kept as given"
-                else:
-                    implied = cov / scale
-                    if -1.0 <= implied <= 1.0:
-                        rho_after = implied
-                        repaired = disc > RECONCILE_TOL
-                        updates[f"rho_{pair}"] = rho_after
-                    else:
-                        note = (
-                            f"implied correlation {implied:.6g} outside [-1, 1]; "
-                            "pair left inconsistent"
-                        )
-            else:  # strict
-                if disc > RECONCILE_TOL:
-                    violations.append(f"stratum {s.h} pair {pair} (discrepancy {disc:.3g})")
+                updates[f"s_{pair}"] = rho * scale
+            elif policy == "strict":
+                pass  # nothing changes; violations are read off the entries
+            elif scale == 0.0:
+                note = "zero SD; correlation not derivable, kept as given"
+            elif -1.0 <= (implied := cov / scale) <= 1.0:
+                updates[f"rho_{pair}"] = implied
+            else:
+                note = (f"implied correlation {implied:.6g} outside [-1, 1]; "
+                        "pair left inconsistent")
             entries.append(
                 ReconciliationEntry(
                     h=s.h, pair=pair,
-                    cov_before=cov, cov_after=cov_after,
-                    rho_before=rho, rho_after=rho_after,
-                    discrepancy=disc, repaired=repaired, note=note,
+                    cov_before=cov, cov_after=updates.get(f"s_{pair}", cov),
+                    rho_before=rho, rho_after=updates.get(f"rho_{pair}", rho),
+                    discrepancy=disc,
+                    repaired=policy != "strict" and not note and disc > RECONCILE_TOL,
+                    note=note,
                 )
             )
-        if updates:
-            kw = {f.name: getattr(s, f.name) for f in fields(StratumSummary)}
-            kw.update(updates)
-            new_strata.append(StratumSummary(**kw))
-        else:
-            new_strata.append(s)
+        new_strata.append(replace(s, **updates))
 
+    violations = [
+        f"stratum {e.h} pair {e.pair} (discrepancy {e.discrepancy:.3g})"
+        for e in entries if policy == "strict" and e.discrepancy > RECONCILE_TOL
+    ]
     if violations:
         raise ValidationError(
             "covariance/correlation mismatch beyond "
@@ -645,7 +635,7 @@ def parse_summary(text: str) -> PopulationSummary:
     return PopulationSummary(strata=tuple(StratumSummary(**kw) for kw in entries))
 
 
-def summary_to_json(summary: PopulationSummary, indent: int | None = 2) -> str:
+def summary_to_json(summary: PopulationSummary) -> str:
     """Serialize a PopulationSummary; floats round-trip bit-exactly."""
     items = []
     for s in summary.strata:
@@ -656,4 +646,4 @@ def summary_to_json(summary: PopulationSummary, indent: int | None = 2) -> str:
                 continue
             d[f.name] = v
         items.append(d)
-    return json.dumps({"strata": items}, indent=indent)
+    return json.dumps({"strata": items}, indent=2)

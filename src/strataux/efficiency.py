@@ -19,7 +19,9 @@ from .data_model import (
 )
 from .estimators import ESTIMATOR_ORDER
 from .moments import MomentSet, moment_set
-from .mse_theory import classic_breakdown, min_mse_tp, mse_classic, variance_mean
+from .mse_theory import (
+    _NEGATIVE_MSE_WARNING, MseBreakdown, min_mse_tp, mse_classic, variance_mean,
+)
 
 # Reference PRE values published for the embedded six-stratum dataset, in
 # estimator enumeration order. Exact reproduction is impossible (the
@@ -43,77 +45,11 @@ _CENSUS_WARNING = "census design: zero variance, PRE undefined"
 @dataclass(frozen=True)
 class PreRow:
     estimator: str
-    mse: float
+    mse: Optional[float]
     pre: Optional[float]
     rank: Optional[int]
     delta_vs_tuned: Optional[float]
     warning: str = ""
-
-
-@dataclass(frozen=True)
-class PreReport:
-    """Per-estimator MSE, PRE, rank and gap against the tuned optimum."""
-
-    rows: tuple[PreRow, ...]
-    m1_opt: Optional[float]
-    m2_opt: Optional[float]
-
-    def row(self, estimator: str) -> PreRow:
-        for r in self.rows:
-            if r.estimator == estimator:
-                return r
-        raise KeyError(estimator)
-
-
-def _ranked(mses: list[tuple[str, float]]) -> dict[str, int]:
-    order = {name: i for i, name in enumerate(ESTIMATOR_ORDER)}
-    eligible = [(mse, order[name], name) for name, mse in mses if mse > 0.0]
-    eligible.sort()
-    return {name: i + 1 for i, (_, _, name) in enumerate(eligible)}
-
-
-def pre_table(m: MomentSet) -> PreReport:
-    """PRE table over all nine estimators, tuned one at its optimum.
-
-    Requires the tuned optimum to exist (positive definite auxiliary
-    moments); a census MomentSet short-circuits to all-undefined rows.
-    """
-    if m.census:
-        rows = tuple(
-            PreRow(estimator=e, mse=0.0, pre=None, rank=None,
-                   delta_vs_tuned=None, warning=_CENSUS_WARNING)
-            for e in ESTIMATOR_ORDER
-        )
-        return PreReport(rows=rows, m1_opt=None, m2_opt=None)
-
-    tuned = min_mse_tp(m)
-    variance = variance_mean(m)
-    mses: list[tuple[str, float, str]] = []
-    for e in ESTIMATOR_ORDER:
-        if e == "exp_regression":
-            mses.append((e, tuned.mse, tuned.warning or ""))
-        else:
-            bd = classic_breakdown(e, m)
-            mses.append((e, bd.mse, bd.warning or ""))
-
-    ranks = _ranked([(e, mse) for e, mse, _ in mses])
-    rows = []
-    for e, mse, warning in mses:
-        if mse == 0.0:
-            pre = None
-            warning = warning or "PRE undefined: zero MSE"
-        else:
-            # divide first so PRE(mean) is exactly 100 (x/x == 1.0)
-            pre = 100.0 * (variance / mse)
-            if mse < 0.0:
-                warning = warning or "negative MSE; PRE not meaningful"
-        rows.append(
-            PreRow(
-                estimator=e, mse=mse, pre=pre, rank=ranks.get(e),
-                delta_vs_tuned=mse - tuned.mse, warning=warning,
-            )
-        )
-    return PreReport(rows=tuple(rows), m1_opt=tuned.m1, m2_opt=tuned.m2)
 
 
 @dataclass(frozen=True)
@@ -124,31 +60,90 @@ class DominanceRow:
     note: str = ""
 
 
-def dominance_report(m: MomentSet) -> tuple[DominanceRow, ...]:
-    """MSE gaps of every non-tuned estimator against the tuned optimum.
+@dataclass(frozen=True)
+class PreReport:
+    """Per-estimator MSE, PRE, rank and gap against the tuned optimum, the
+    dominance rows of the eight others, and the optimum (None without one)."""
 
-    The gaps are recomputed from the MSE operations rather than any
-    closed-form inequality, so they stay correct wherever the MSE
-    formulas do. All estimators except the plain ratio are special cases
-    of the tuned form, hence their gaps are nonnegative by optimality;
-    a negative ratio gap is possible and flagged, not an error.
-    """
-    tuned = min_mse_tp(m)
+    rows: tuple[PreRow, ...]
+    dominance: tuple[DominanceRow, ...] = ()
+    m1_opt: Optional[float] = None
+    m2_opt: Optional[float] = None
+
+    def row(self, estimator: str) -> PreRow:
+        for r in self.rows:
+            if r.estimator == estimator:
+                return r
+        raise KeyError(estimator)
+
+
+def _pre_rows(m: MomentSet, tuned: Optional[MseBreakdown], why: str = "") -> tuple[PreRow, ...]:
+    """One PreRow per estimator. Without the tuned optimum (tuned None) its
+    row is empty, warned with why, and no row has a rank or gap."""
+    mses = {e: mse_classic(e, m) for e in ESTIMATOR_ORDER if e != "exp_regression"}
+    rank = {}
+    if tuned is not None:
+        mses["exp_regression"] = tuned.mse
+        # the sort is stable, so tied MSEs keep estimator order
+        ranked = sorted((e for e in ESTIMATOR_ORDER if mses[e] > 0.0), key=mses.__getitem__)
+        rank = {e: i for i, e in enumerate(ranked, start=1)}
+    variance = variance_mean(m)
     rows = []
     for e in ESTIMATOR_ORDER:
-        if e == "exp_regression":
+        mse = mses.get(e)
+        if mse is None:
+            rows.append(PreRow(e, mse=None, pre=None, rank=None, delta_vs_tuned=None, warning=why))
             continue
-        delta = mse_classic(e, m) - tuned.mse
-        note = ""
-        if delta < 0.0 and e == "ratio":
-            note = "ratio form is not nested in the tuned estimator; first-order gap negative"
-        elif delta < 0.0 and e == "regression" and m.regression_residual is not None:
-            note = (
-                "regression MSE uses the correlation-based residual form, "
-                "which is not a point of the tuned quadratic"
-            )
-        rows.append(DominanceRow(estimator=e, delta=delta, satisfied=delta >= 0.0, note=note))
+        warning = ""
+        if mse < 0.0:
+            warning = _NEGATIVE_MSE_WARNING
+        elif mse == 0.0 and tuned is not None:
+            warning = "PRE undefined: zero MSE"
+        # divide first so PRE(mean) is exactly 100 (x/x == 1.0)
+        pre = None if mse == 0.0 else 100.0 * (variance / mse)
+        delta = None if tuned is None else mse - tuned.mse
+        rows.append(PreRow(e, mse, pre, rank.get(e), delta, warning))
     return tuple(rows)
+
+
+def pre_table(m: MomentSet) -> PreReport:
+    """PRE table over all nine estimators, tuned one at its optimum, and
+    the dominance gaps of the other eight against it.
+
+    Requires the tuned optimum to exist (positive definite auxiliary
+    moments); a census MomentSet short-circuits to all-undefined rows and
+    no gaps. The gaps come from the MSE operations rather than any
+    closed-form inequality, so they stay correct wherever the MSE formulas
+    do. Every estimator but the plain ratio is a special case of the tuned
+    form, so its gap is nonnegative by optimality; a negative ratio gap is
+    possible and flagged, not an error.
+    """
+    if m.census:
+        rows = tuple(
+            PreRow(estimator=e, mse=0.0, pre=None, rank=None,
+                   delta_vs_tuned=None, warning=_CENSUS_WARNING)
+            for e in ESTIMATOR_ORDER
+        )
+        return PreReport(rows=rows)
+
+    tuned = min_mse_tp(m)
+    rows = _pre_rows(m, tuned)
+    notes = {"ratio": "ratio form is not nested in the tuned estimator; first-order gap negative"}
+    if m.regression_residual is not None:
+        notes["regression"] = ("regression MSE uses the correlation-based residual form, "
+                               "which is not a point of the tuned quadratic")
+    dominance = tuple(
+        DominanceRow(r.estimator, r.delta_vs_tuned, r.delta_vs_tuned >= 0.0,
+                     notes.get(r.estimator, "") if r.delta_vs_tuned < 0.0 else "")
+        for r in rows if r.estimator != "exp_regression"
+    )
+    return PreReport(rows=rows, dominance=dominance, m1_opt=tuned.m1, m2_opt=tuned.m2)
+
+
+def dominance_report(m: MomentSet) -> tuple[DominanceRow, ...]:
+    """pre_table(m).dominance: every non-tuned estimator's MSE gap to the
+    tuned optimum, () for a census design."""
+    return pre_table(m).dominance
 
 
 @dataclass(frozen=True)
@@ -179,65 +174,40 @@ class ReproduceReport:
     notes: tuple[str, ...]
 
 
-def _pre_column(m: MomentSet):
-    """PRE values per estimator with a degraded path when tuning fails."""
-    try:
-        report = pre_table(m)
-        return (
-            {r.estimator: (r.mse, r.pre, r.rank, r.warning) for r in report.rows},
-            report, "",
-        )
-    except NumericalError as e:
-        variance = variance_mean(m)
-        column = {}
-        for est in ESTIMATOR_ORDER:
-            if est == "exp_regression":
-                column[est] = (None, None, None, f"tuned optimum unavailable: {e}")
-                continue
-            bd = classic_breakdown(est, m)
-            pre = 100.0 * (variance / bd.mse) if bd.mse != 0.0 else None
-            column[est] = (bd.mse, pre, None, bd.warning or "")
-        return column, None, f"tuned optimum unavailable: {e}"
-
-
 def reproduce_kk2009() -> ReproduceReport:
-    """Run the full pipeline on the embedded dataset under both policies."""
+    """Run the full pipeline on the embedded dataset under both policies; a
+    policy without a tuned optimum reports the other estimators unranked."""
     pop, design = embedded_kk2009()
+    columns = []
+    for policy in ("prefer-correlation", "prefer-covariance"):
+        fixed, repairs = reconcile_covariances(pop, policy)
+        m = moment_set(fixed, design)
+        try:
+            report, why = pre_table(m), ""
+        except NumericalError as e:
+            why = f"tuned optimum unavailable: {e}"
+            report = PreReport(rows=_pre_rows(m, None, why))
+        columns.append((policy, repairs, m, report, why))
+    (_, repairs_rho, m_rho, headline, _), (_, repairs_cov, m_cov, cov, _) = columns
 
-    pop_rho, repairs_rho = reconcile_covariances(pop, "prefer-correlation")
-    m_rho = moment_set(pop_rho, design)
-    headline_col, headline_report, headline_note = _pre_column(m_rho)
-
-    pop_cov, repairs_cov = reconcile_covariances(pop, "prefer-covariance")
-    m_cov = moment_set(pop_cov, design)
-    cov_col, _, cov_note = _pre_column(m_cov)
-
-    published_ranking = tuple(
-        e for e, _ in sorted(PUBLISHED_PRE.items(), key=lambda kv: -kv[1])
-    )
+    published_ranking = tuple(sorted(PUBLISHED_PRE, key=lambda e: -PUBLISHED_PRE[e]))
     published_rank = {e: r for r, e in enumerate(published_ranking, start=1)}
     rows = []
-    for e in ESTIMATOR_ORDER:
-        mse, pre, rank, warning = headline_col[e]
-        cov_mse, cov_pre, _, cov_warning = cov_col[e]
+    for r, c in zip(headline.rows, cov.rows):
         rows.append(
             ReproduceRow(
-                estimator=e,
-                published_pre=PUBLISHED_PRE[e],
-                published_rank=published_rank[e],
-                mse=mse, pre=pre, rank=rank,
-                delta=None if pre is None else pre - PUBLISHED_PRE[e],
-                rank_mismatch=rank != published_rank[e],
-                pre_covariance=cov_pre,
-                covariance_note=cov_warning,
+                estimator=r.estimator,
+                published_pre=PUBLISHED_PRE[r.estimator],
+                published_rank=published_rank[r.estimator],
+                mse=r.mse, pre=r.pre, rank=r.rank,
+                delta=None if r.pre is None else r.pre - PUBLISHED_PRE[r.estimator],
+                rank_mismatch=r.rank != published_rank[r.estimator],
+                pre_covariance=c.pre,
+                covariance_note=c.warning,
             )
         )
 
-    computed_ranking = tuple(
-        r.estimator for r in sorted(
-            (r for r in rows if r.rank is not None), key=lambda r: r.rank
-        )
-    )
+    ranked = sorted((r for r in rows if r.rank is not None), key=lambda r: r.rank)
     notes = [
         "headline column uses the prefer-correlation policy; the published "
         "stratum table carries covariance transcription errors, so exact "
@@ -251,30 +221,24 @@ def reproduce_kk2009() -> ReproduceReport:
             "computed ranking disagrees with the published ranking at: "
             + ", ".join(mismatches)
         )
-    if headline_note:
-        notes.append(f"prefer-correlation column: {headline_note}")
-    if cov_note:
-        notes.append(f"prefer-covariance column: {cov_note}")
+    notes += [f"{policy} column: {why}" for policy, *_, why in columns if why]
     neg = [
-        f"{e} ({cov_col[e][0]:.6g})"
-        for e in ESTIMATOR_ORDER
-        if cov_col[e][0] is not None and cov_col[e][0] < 0.0
+        f"{c.estimator} ({c.mse:.6g})"
+        for c in cov.rows if c.mse is not None and c.mse < 0.0
     ]
     if neg:
         notes.append(
             "prefer-covariance column has negative first-order MSEs, reported "
             "as-is: " + ", ".join(neg)
         )
-    cs = list(m_rho.warnings) + list(m_cov.warnings)
-    for w in cs:
-        notes.append(f"moment warning: {w}")
+    notes += [f"moment warning: {w}" for w in m_rho.warnings + m_cov.warnings]
     return ReproduceReport(
         rows=tuple(rows),
         repairs_correlation=repairs_rho,
         repairs_covariance=repairs_cov,
         published_ranking=published_ranking,
-        computed_ranking=computed_ranking,
-        m1_opt=headline_report.m1_opt if headline_report else None,
-        m2_opt=headline_report.m2_opt if headline_report else None,
+        computed_ranking=tuple(r.estimator for r in ranked),
+        m1_opt=headline.m1_opt,
+        m2_opt=headline.m2_opt,
         notes=tuple(notes),
     )

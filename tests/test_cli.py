@@ -1,11 +1,13 @@
 """Command-line behavior: formats, determinism and exit codes."""
 import json
+import os
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
+import strataux.mse_theory
 from strataux import embedded_kk2009, summary_to_json
 from strataux.cli import main
 
@@ -134,6 +136,29 @@ def test_pre_command_json_includes_dominance(summary_file, capsys):
     assert rows["exp_regression"]["rank"] == 1
     dom = {d["estimator"]: d for d in doc["dominance"]}
     assert all(d["satisfied"] for d in dom.values())
+
+
+def test_pre_command_solves_the_optimum_once(summary_file, capsys, monkeypatch):
+    calls = []
+    solve = strataux.mse_theory.optimal_m
+
+    def counted(m):
+        calls.append(m)
+        return solve(m)
+
+    monkeypatch.setattr(strataux.mse_theory, "optimal_m", counted)
+    assert main(["pre", "--input", summary_file, "--design", DESIGN,
+                 "--format", "json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)["dominance"]) == 8
+    assert len(calls) == 1
+
+
+def test_census_pre_command_has_no_dominance(summary_file, capsys):
+    census = ",".join(str(s.N) for s in embedded_kk2009()[0].strata)
+    assert main(["pre", "--input", summary_file, "--design", census,
+                 "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["dominance"] == [] and doc["m1_opt"] is None
 
 
 def test_simulate_runs_and_is_byte_deterministic(config_file, capsys):
@@ -345,6 +370,19 @@ def test_missing_subcommand_is_a_usage_error(capsys):
         main([])
     assert exc.value.code == 2
     assert "required: command" in capsys.readouterr().err
+
+
+def test_closed_stdout_pipe_exits_1_without_a_traceback():
+    # the reader closed its end before any output, as `| head` does early
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "strataux", "reproduce-kk2009"],
+                              stdout=write_end, stderr=subprocess.PIPE, timeout=60)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
 
 
 def test_module_entry_point_is_reproducible():

@@ -1,10 +1,12 @@
 """PRE tables, dominance gaps and the embedded-dataset reproduction."""
+import dataclasses
 import math
 
 import pytest
 
 from strataux import (
     ESTIMATOR_ORDER,
+    MomentSet,
     PopulationSummary,
     SampleDesign,
     StratumSummary,
@@ -12,6 +14,7 @@ from strataux import (
     embedded_kk2009,
     min_mse_tp,
     moment_set,
+    mse_classic,
     parse_microdata,
     pre_table,
     reconcile_covariances,
@@ -131,6 +134,51 @@ def test_dominance_flags_residual_beating_the_quadratic():
     reg = rows["regression"]
     assert not reg.satisfied and reg.delta < 0.0
     assert "residual" in reg.note
+
+
+def test_dominance_is_the_pre_table_view(m_rho):
+    report = pre_table(m_rho)
+    assert dominance_report(m_rho) == report.dominance
+    assert [d.estimator for d in report.dominance] == [
+        e for e in ESTIMATOR_ORDER if e != "exp_regression"]
+    for d in report.dominance:
+        assert d.delta == report.row(d.estimator).delta_vs_tuned
+        assert d.satisfied == (d.delta >= 0.0)
+
+
+def test_census_dominance_is_empty():
+    pop = summarize(parse_microdata(
+        "stratum,y,x,z\nA,3,11,6\nA,5,14,9\nB,20,30,40\nB,26,34,46\n"))
+    m = moment_set(pop, SampleDesign(n=(2, 2)))
+    assert dominance_report(m) == ()
+    assert pre_table(m).dominance == ()
+
+
+def test_regression_note_needs_the_residual_form():
+    s = StratumSummary(
+        h=1, N=60, ybar=100.0, xbar=80.0, zbar=50.0,
+        s_y=10.0, s_x=8.0, s_z=5.0,
+        s_yx=0.8 * 10 * 8, s_yz=0.8 * 10 * 5, s_xz=0.0,
+        rho_yx=0.8, rho_yz=0.8, rho_xz=0.0,
+    )
+    m = moment_set(PopulationSummary(strata=(s,)), SampleDesign(n=(10,)))
+    assert "residual" in {r.estimator: r for r in dominance_report(m)}["regression"].note
+    raw = dataclasses.replace(m, regression_residual=None)
+    assert {r.estimator: r for r in dominance_report(raw)}["regression"].note == ""
+    # slopes at the stationary point: the regression MSE is the tuned
+    # quadratic at its minimum, and rounding leaves the gap just below zero
+    at_opt = MomentSet(
+        v200=1.0, v020=0.7075595715734825, v002=0.681394037324178,
+        v110=-0.27940025197732343, v101=0.4755945178178834, v011=0.031039106640800843,
+        ybar=100.0, xbar=80.0, zbar=50.0, b1=-0.5329366142830482, b2=1.4347880731692841,
+    )
+    reg = {r.estimator: r for r in dominance_report(at_opt)}["regression"]
+    assert reg.delta < 0.0 and not reg.satisfied
+    assert reg.note == ""
+    with_residual = dataclasses.replace(
+        at_opt, regression_residual=mse_classic("regression", at_opt))
+    reg = {r.estimator: r for r in dominance_report(with_residual)}["regression"]
+    assert reg.delta < 0.0 and "residual" in reg.note
 
 
 def test_reproduction_report_structure():

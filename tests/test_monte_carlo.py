@@ -400,7 +400,10 @@ def test_single_replication_matches_point_estimates(small_population):
             want = point_estimate(row.estimator, sample, pop)
         assert row.emp_mean == want, row.estimator
         assert row.emp_bias == row.emp_mean - report.ybar
-        assert row.emp_mse == (row.emp_mean - report.ybar) ** 2
+        err = row.emp_mean - report.ybar
+        # a product, as numpy squares: libm's pow(v, 2) can miss the
+        # correctly rounded square by one ulp
+        assert row.emp_mse == err * err
         assert row.nonfinite == 0
 
 
