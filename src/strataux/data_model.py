@@ -18,7 +18,7 @@ from array import array
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from itertools import islice
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -102,16 +102,6 @@ class StratumSummary:
         a, b = pair
         return getattr(self, f"s_{a}"), getattr(self, f"s_{b}")
 
-    def pair_discrepancy(self, pair: str) -> float:
-        """Relative gap between the printed covariance and rho*s_a*s_b."""
-        s_a, s_b = self.sd_pair(pair)
-        cov = getattr(self, f"s_{pair}")
-        rho = getattr(self, f"rho_{pair}")
-        scale = s_a * s_b
-        if scale == 0.0:
-            return 0.0 if cov == 0.0 else math.inf
-        return abs(cov - rho * scale) / scale
-
 
 @dataclass(frozen=True)
 class PopulationSummary:
@@ -172,15 +162,17 @@ class SampleDesign:
     def total(self) -> int:
         return sum(self.n)
 
-    def check_against(self, pop: PopulationSummary) -> None:
-        if len(self.n) != pop.L:
+    def check_against(self, sizes: Sequence[int], names: Iterable) -> None:
+        """InputError unless there is one n_h per stratum and n_h <= N_h, for
+        population sizes N_h in sizes; names name the strata in messages."""
+        if len(self.n) != len(sizes):
             raise InputError(
-                f"design has {len(self.n)} strata but population has {pop.L}"
+                f"design has {len(self.n)} strata but population has {len(sizes)}"
             )
-        for n_h, s in zip(self.n, pop.strata):
-            if n_h > s.N:
+        for n_h, N_h, name in zip(self.n, sizes, names):
+            if n_h > N_h:
                 raise InputError(
-                    f"stratum {s.h}: sample size {n_h} exceeds population size {s.N}"
+                    f"stratum {name}: sample size {n_h} exceeds population size {N_h}"
                 )
 
 
@@ -363,30 +355,23 @@ def _check_records(chunk: Sequence[list[str]], first_line: int) -> None:
                 raise InputError(f"line {lineno}: non-finite value in column {name}")
 
 
+# (i, j) column pairs of the squared deviations and the cross products
+_PRODUCTS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+
+
 def summarize(micro: Microdata) -> PopulationSummary:
     """Compute exact per-stratum summaries from microdata.
 
     Covariance and correlation pairs are consistent by construction, so the
     result needs no reconciliation. Compensated summation is used so that
-    recomputing summaries from the same finite data is exact.
-    """
-    return _summarize_arrays(micro.labels, micro.arrays)
-
-
-# (i, j) column pairs of the squared deviations and the cross products
-_PRODUCTS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
-
-
-def _summarize_arrays(labels: Sequence[str], arrays: Sequence[np.ndarray]) -> PopulationSummary:
-    """summarize() over one (N_h, 3) float64 array of (y, x, z) per stratum.
-
-    Deviations and their products are formed elementwise in numpy and
-    summed with math.fsum: the same IEEE operations as a pure-Python loop,
-    so the summaries are bit-identical to it.
+    recomputing summaries from the same finite data is exact: deviations and
+    their products are formed elementwise in numpy and summed with
+    math.fsum, the same IEEE operations as a pure-Python loop, so the
+    summaries are bit-identical to it.
     """
     i, j = np.array(_PRODUCTS).T
     strata = []
-    for idx, (label, vals) in enumerate(zip(labels, arrays), start=1):
+    for idx, (label, vals) in enumerate(zip(micro.labels, micro.arrays), start=1):
         N = len(vals)
         for name, big in zip(("y", "x", "z"), np.abs(vals).max(axis=0).tolist()):
             if big > MAX_MAGNITUDE:
@@ -478,7 +463,10 @@ def reconcile_covariances(
             scale = s_a * s_b
             cov = getattr(s, f"s_{pair}")
             rho = getattr(s, f"rho_{pair}")
-            disc = s.pair_discrepancy(pair)
+            if scale == 0.0:
+                disc = 0.0 if cov == 0.0 else math.inf
+            else:
+                disc = abs(cov - rho * scale) / scale
             note = ""
             if policy == "prefer-correlation":
                 updates[f"s_{pair}"] = rho * scale

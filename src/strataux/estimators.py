@@ -30,6 +30,7 @@ from .data_model import (
     PopulationSummary,
     SampleDesign,
     StratifiedSample,
+    check_number,
 )
 from .moments import design_factors
 
@@ -158,14 +159,16 @@ def point_estimate(
     observations go to sample_statistics as a C-ordered (3, 1, n_h) copy,
     the shape of a simulator block, so a replicate's estimate here equals
     run_simulation's bit for bit. m1, m2 apply to exp_regression only
-    (required there, finite). b1, b2 override the sample slopes for the two
-    slope-bearing estimators.
+    (required there, finite and within MAX_MAGNITUDE). b1, b2 override the
+    sample slopes for the two slope-bearing estimators.
     """
     if estimator not in ESTIMATOR_ORDER:
         raise InputError(f"unknown estimator {estimator!r}")
     if estimator == "exp_regression":
-        if m1 is None or m2 is None or not (math.isfinite(m1) and math.isfinite(m2)):
+        if m1 is None or m2 is None:
             raise InputError("exp_regression requires finite m1 and m2")
+        check_number("m1", m1)
+        check_number("m2", m2)
     elif m1 is not None or m2 is not None:
         raise InputError(f"m1/m2 are not parameters of {estimator!r}")
     if estimator not in _NEEDS_SLOPES and (b1 is not None or b2 is not None):

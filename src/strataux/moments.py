@@ -57,11 +57,10 @@ def design_factors(
     pop: PopulationSummary, design: SampleDesign
 ) -> tuple[tuple[float, float], ...]:
     """Per-stratum (W_h, f_h) with W_h = N_h/N and f_h = 1/n_h - 1/N_h."""
-    design.check_against(pop)
-    N = pop.N
+    design.check_against([s.N for s in pop.strata], [s.h for s in pop.strata])
     return tuple(
-        (s.N / N, 1.0 / n_h - 1.0 / s.N)
-        for s, n_h in zip(pop.strata, design.n)
+        (w, 1.0 / n_h - 1.0 / s.N)
+        for w, s, n_h in zip(pop.weights, pop.strata, design.n)
     )
 
 
@@ -87,33 +86,34 @@ def moment_set(pop: PopulationSummary, design: SampleDesign) -> MomentSet:
     for name, mean, field in (("y", ybar, "s_y"), ("x", xbar, "s_x"), ("z", zbar, "s_z")):
         _check_mean(name, mean, max(getattr(s, field) for s in pop.strata))
 
-    g = [w * w * f for (w, f) in wf]
-    strata = pop.strata
-    v200 = math.fsum(g[i] * s.s_y ** 2 for i, s in enumerate(strata)) / ybar**2
-    v020 = math.fsum(g[i] * s.s_x ** 2 for i, s in enumerate(strata)) / xbar**2
-    v002 = math.fsum(g[i] * s.s_z ** 2 for i, s in enumerate(strata)) / zbar**2
-    v110 = math.fsum(g[i] * s.s_yx for i, s in enumerate(strata)) / (ybar * xbar)
-    v101 = math.fsum(g[i] * s.s_yz for i, s in enumerate(strata)) / (ybar * zbar)
-    v011 = math.fsum(g[i] * s.s_xz for i, s in enumerate(strata)) / (xbar * zbar)
+    # each stratum's g_h-weighted terms, g_h = W_h^2 * f_h, once; then one
+    # fsum per column. Every term keeps its association order, so b1's
+    # numerator is ((g*rho)*s_y)*s_x and the sums keep their bits.
+    terms = [
+        (g * s.s_y ** 2, g * s.s_x ** 2, g * s.s_z ** 2, g * s.s_yx, g * s.s_yz, g * s.s_xz,
+         g * s.rho_yx * s.s_y * s.s_x, g * s.rho_yz * s.s_y * s.s_z,
+         g * s.s_y ** 2
+         * (1.0 - s.rho_yx ** 2 - s.rho_yz ** 2 + 2.0 * s.rho_yx * s.rho_yz * s.rho_xz))
+        for g, s in zip((w * w * f for (w, f) in wf), pop.strata)
+    ]
+    syy, sxx, szz, syx, syz, sxz, cyx, cyz, resid = map(math.fsum, zip(*terms))
+    v200 = syy / ybar**2
+    v020 = sxx / xbar**2
+    v002 = szz / zbar**2
+    v110 = syx / (ybar * xbar)
+    v101 = syz / (ybar * zbar)
+    v011 = sxz / (xbar * zbar)
 
     census = all(f == 0.0 for (_, f) in wf)
     if census:
         b1 = b2 = None
+    elif sxx == 0.0:
+        raise NumericalError("combined slope b1 undefined: zero x variation")
+    elif szz == 0.0:
+        raise NumericalError("combined slope b2 undefined: zero z variation")
     else:
-        den1 = math.fsum(g[i] * s.s_x ** 2 for i, s in enumerate(strata))
-        den2 = math.fsum(g[i] * s.s_z ** 2 for i, s in enumerate(strata))
-        if den1 == 0.0:
-            raise NumericalError("combined slope b1 undefined: zero x variation")
-        if den2 == 0.0:
-            raise NumericalError("combined slope b2 undefined: zero z variation")
-        b1 = math.fsum(g[i] * s.rho_yx * s.s_y * s.s_x for i, s in enumerate(strata)) / den1
-        b2 = math.fsum(g[i] * s.rho_yz * s.s_y * s.s_z for i, s in enumerate(strata)) / den2
-
-    resid = math.fsum(
-        g[i] * s.s_y ** 2
-        * (1.0 - s.rho_yx ** 2 - s.rho_yz ** 2 + 2.0 * s.rho_yx * s.rho_yz * s.rho_xz)
-        for i, s in enumerate(strata)
-    )
+        b1 = cyx / sxx
+        b2 = cyz / szz
 
     for name, v in (("v200", v200), ("v020", v020), ("v002", v002), ("v110", v110),
                     ("v101", v101), ("v011", v011), ("b1", b1), ("b2", b2)):

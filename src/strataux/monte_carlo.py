@@ -36,7 +36,6 @@ from .data_model import (
     SampleDesign,
     StratifiedSample,
     ValidationError,
-    _summarize_arrays,
     check_number,
     decode_json,
     document_entries,
@@ -124,14 +123,17 @@ def generate_population(cfg: PopulationConfig) -> tuple[Microdata, PopulationSum
                 f"stratum {h}: correlation matrix is not positive definite"
             ) from None
         key = np.array([cfg.seed & _MASK64, _POP_STREAM_BASE + h], dtype=np.uint64)
-        raw = np.random.Generator(np.random.Philox(key=key)).standard_normal((s.N, 3))
+        try:
+            raw = np.random.Generator(np.random.Philox(key=key)).standard_normal((s.N, 3))
+        except (MemoryError, ValueError):  # beyond memory or numpy's largest array
+            raise InputError(f"stratum {h}: N = {s.N} is too large to generate") from None
         vals = raw @ chol.T
         vals *= np.array([s.sd_y, s.sd_x, s.sd_z])
         vals += np.array([s.mean_y, s.mean_x, s.mean_z])
         labels.append(str(h))
         arrays.append(vals)
     micro = Microdata(labels=tuple(labels), arrays=tuple(arrays))
-    summary = _summarize_arrays(micro.labels, micro.arrays)
+    summary = summarize(micro)
     for st in summary.strata:
         for name, mean, sd in (("y", st.ybar, st.s_y), ("x", st.xbar, st.s_x),
                                ("z", st.zbar, st.s_z)):
@@ -141,18 +143,6 @@ def generate_population(cfg: PopulationConfig) -> tuple[Microdata, PopulationSum
                     "the zero guard band; raise the target mean or lower the SD"
                 )
     return micro, summary
-
-
-def _check_micro_design(micro: Microdata, design: SampleDesign) -> None:
-    if len(design.n) != len(micro.labels):
-        raise InputError(
-            f"design has {len(design.n)} strata, population has {len(micro.labels)}"
-        )
-    for label, N_h, n_h in zip(micro.labels, micro.sizes, design.n):
-        if n_h > N_h:
-            raise InputError(
-                f"stratum {label!r}: sample size {n_h} exceeds population {N_h}"
-            )
 
 
 def _draw_indices(
@@ -266,7 +256,7 @@ def draw_sample(
 ) -> StratifiedSample:
     """One stratified SRSWOR draw under the documented stream contract: each
     stratum's observations are the rows of micro.arrays it picks, in pick order."""
-    _check_micro_design(micro, design)
+    design.check_against(micro.sizes, map(repr, micro.labels))
     idx = _draw_indices(master_seed, range(stream, stream + 1), micro.sizes, design.n)
     return StratifiedSample(design=design, observations=tuple(
         vals[rows[0]] for vals, rows in zip(micro.arrays, idx)))
@@ -335,7 +325,7 @@ def run_simulation(
     """
     if R < 1:
         raise InputError(f"replication count must be >= 1, got {R}")
-    _check_micro_design(micro, design)
+    design.check_against(micro.sizes, map(repr, micro.labels))
     requested = tuple(estimators) if estimators is not None else ESTIMATOR_ORDER
     for e in requested:
         if e not in ESTIMATOR_ORDER:
@@ -361,7 +351,10 @@ def run_simulation(
 
     kernel_rows = [(base, rm1, rm2) for _, base, rm1, rm2, _ in row_plan]
     values = [a.T.copy() for a in micro.arrays]  # (3, N_h) per stratum
-    out = np.empty((len(row_plan), R))
+    try:
+        out = np.empty((len(row_plan), R))
+    except (MemoryError, ValueError):  # beyond memory or numpy's largest array
+        raise InputError(f"replication count R = {R} is too large to hold in memory") from None
     block = _BLOCK if mset.census else max(1, min(_BLOCK, _BLOCK_UNITS // design.total))
     for lo in range(0, R, block):
         hi = min(lo + block, R)
@@ -377,26 +370,21 @@ def run_simulation(
     rows = []
     failures = []
     for j, (label, _, rm1, rm2, theory) in enumerate(row_plan):
-        col = out[j]
-        finite = np.isfinite(col)
-        bad = int(R - int(finite.sum()))
-        vals = col[finite]
-        if len(vals):
-            emp_mean = math.fsum(vals.tolist()) / len(vals)
-            emp_mse = math.fsum(np.square(vals - ybar).tolist()) / len(vals)
-        else:
-            emp_mean = emp_mse = math.nan
-        emp_bias = emp_mean - ybar
+        vals = out[j][np.isfinite(out[j])]
+        bad = R - len(vals)
+        if bad > NONFINITE_LIMIT * R:  # the run fails, so the row's sums go unread
+            failures.append(f"{label}: {bad}/{R} non-finite")
+            continue
+        emp_mean = math.fsum(vals.tolist()) / len(vals)
+        emp_mse = math.fsum(np.square(vals - ybar).tolist()) / len(vals)
         rel_gap = (emp_mse - theory) / theory if theory != 0.0 else math.nan
         rows.append(
             SimRow(
                 estimator=label, m1=rm1, m2=rm2,
-                emp_mean=emp_mean, emp_bias=emp_bias, emp_mse=emp_mse,
+                emp_mean=emp_mean, emp_bias=emp_mean - ybar, emp_mse=emp_mse,
                 theory_mse=theory, rel_gap=rel_gap, nonfinite=bad,
             )
         )
-        if bad > NONFINITE_LIMIT * R:
-            failures.append(f"{label}: {bad}/{R} non-finite")
     if failures:
         raise ValidationError(
             "simulation failed, non-finite estimate share exceeds "

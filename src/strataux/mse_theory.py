@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .data_model import InputError, NumericalError
+from .data_model import InputError, NumericalError, check_number
 from .estimators import FAMILY
 from .moments import MomentSet
 
@@ -114,8 +114,8 @@ def mse_classic(estimator: str, m: MomentSet) -> float:
 
 def mse_tp(m: MomentSet, m1: float, m2: float) -> MseBreakdown:
     """First-order MSE of the tuned exponential-regression estimator."""
-    if not (math.isfinite(m1) and math.isfinite(m2)):
-        raise InputError("m1 and m2 must be finite")
+    check_number("m1", m1)
+    check_number("m2", m2)
     d1, d2 = _d_terms(m)
     a1 = 0.5 * m1 + d1
     a2 = 0.5 * m2 + d2

@@ -1,4 +1,5 @@
 """Command-line behavior: formats, determinism and exit codes."""
+import hashlib
 import json
 import os
 import subprocess
@@ -272,6 +273,45 @@ def test_reproduce_command_json(capsys):
     assert len(doc["repairs_correlation"]) == 5
 
 
+# sha256 of stdout of the reference commands, the KK2009 table and mse, pre
+# and moments on the KK2009 summary; the output must stay byte-identical
+GOLDEN_STDOUT = {
+    ("reproduce-kk2009", "text"):
+        "03394e0233d8a57360cb96edb58da5b8c4d372196798b92cc7f978df4c3ea7db",
+    ("reproduce-kk2009", "csv"):
+        "71183f8aefec71df574e2c21126265aff19e029239151db43e1d609e203a22d0",
+    ("reproduce-kk2009", "json"):
+        "2ee9a9c920e30f633e676a9476eeec7b1188dc50d6b1e24c8db1b5d89545ad2c",
+    ("mse", "text"):
+        "92b12ba39fc2db99b920aa5c33db32bd3150972356e2b6a5e2b0cca54a73dda6",
+    ("mse", "csv"):
+        "b3e7830281bebe91bbab17d1adcebc86c4569a209771718225feaf9b3d672b3e",
+    ("mse", "json"):
+        "350512d39d182cebcb4d7161e8dd3ed22ef6dcfaa010f9aaa5590383f8417ad6",
+    ("pre", "text"):
+        "431d829f2951274d00ad74367139b06663df27cfd96014d95827bacb9bba267e",
+    ("pre", "csv"):
+        "af856f86b86caf775c8682e323fd5b19019aab1efa8f56954c91d8da6d30cdee",
+    ("pre", "json"):
+        "d55167b9965b97d9bec4bf8624e420505a16924aaa7de692efd5131c4341337a",
+    ("moments", "text"):
+        "4e831d65190b451ec5938815cf07ecefff07df0bebe50a560ea2ea08b637f1a0",
+    ("moments", "csv"):
+        "e80d11a71f933782ff487f776cfddefbae896ec64bceea94e37a9b51f934ff18",
+    ("moments", "json"):
+        "e96b9bd984a1bccee38e4bf4adebef5793df35690259a1dc41c95674cc23409c",
+}
+
+
+@pytest.mark.parametrize("command, fmt", list(GOLDEN_STDOUT))
+def test_reference_stdout_is_byte_identical(summary_file, capsys, command, fmt):
+    argv = [command] if command == "reproduce-kk2009" else [
+        command, "--input", summary_file, "--design", DESIGN]
+    assert main(argv + ["--format", fmt]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[command, fmt]
+
+
 def test_exit_code_2_on_input_errors(tmp_path, capsys):
     assert main(["moments", "--input", str(tmp_path / "nope.csv"),
                  "--design", "3"]) == 2
@@ -336,6 +376,36 @@ def test_non_finite_generator_target_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: generator target mean_x must be finite" in captured.err
+
+
+def test_tuning_exponents_beyond_the_input_bound_exit_2(summary_file, config_file, capsys):
+    # 1e308 is finite, but the MSE terms it enters overflow to -inf + inf
+    for argv in (["mse", "--input", summary_file, "--design", DESIGN],
+                 ["simulate", "--input", config_file, "--design", "6,9", "--R", "20"]):
+        assert main(argv + ["--m1", "1e308", "--m2", "1e308"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: m1 = 1e+308 is beyond +-1e+100" in captured.err
+
+
+def test_oversized_replication_count_exits_2(config_file, capsys):
+    # 8 bytes per replicate and estimator: far beyond any address space
+    R = 10 ** 17
+    assert main(["simulate", "--input", config_file, "--design", "6,9",
+                 "--R", str(R), "--estimators", "mean"]) == 2
+    assert f"error: replication count R = {R} is too large" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("N", [10 ** 17, 10 ** 20])
+def test_oversized_generator_stratum_exits_2(tmp_path, capsys, N):
+    # 24 bytes per unit: beyond any address space (10**17) and beyond
+    # numpy's largest dimension (10**20)
+    config = json.loads(json.dumps(GEN_CONFIG))
+    config["strata"][1]["N"] = N
+    path = tmp_path / "gen.json"
+    path.write_text(json.dumps(config))
+    assert main(["simulate", "--input", str(path), "--design", "6,9", "--R", "5"]) == 2
+    assert f"error: stratum 2: N = {N} is too large to generate" in capsys.readouterr().err
 
 
 def test_exit_code_3_on_degenerate_moments(tmp_path, capsys):

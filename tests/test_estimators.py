@@ -154,7 +154,7 @@ def test_parameter_policing(micro, pop):
         point_estimate("median", sample, pop)
     with pytest.raises(InputError, match="requires finite m1 and m2"):
         point_estimate("exp_regression", sample, pop)
-    with pytest.raises(InputError, match="requires finite m1 and m2"):
+    with pytest.raises(InputError, match="m2 must be finite, got inf"):
         point_estimate("exp_regression", sample, pop, m1=1.0, m2=math.inf)
     with pytest.raises(InputError, match="not parameters of 'ratio'"):
         point_estimate("ratio", sample, pop, m1=1.0, m2=1.0)

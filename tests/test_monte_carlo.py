@@ -299,9 +299,10 @@ def test_subsets_are_uniform_across_streams_with_collisions():
 
 def test_draw_sample_design_mismatch(small_population):
     micro, _ = small_population
-    with pytest.raises(InputError, match="design has 3 strata"):
+    # the summary path's wording, with each stratum named by its label
+    with pytest.raises(InputError, match="design has 3 strata but population has 2"):
         draw_sample(micro, SampleDesign(n=(5, 5, 5)), master_seed=0)
-    with pytest.raises(InputError, match="exceeds population"):
+    with pytest.raises(InputError, match="stratum '1': sample size 41 exceeds population size 40"):
         draw_sample(micro, SampleDesign(n=(41, 5)), master_seed=0)
 
 

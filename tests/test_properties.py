@@ -139,6 +139,13 @@ def microdata_csv(draw):
     return "\n".join(lines) + "\n"
 
 
+def _tuning(data):
+    """--m1=<v> --m2=<v>, in that form so that a negative value reaches the
+    program: argparse reads "--m1 -1e308" as a missing argument."""
+    m = st.floats(allow_nan=True, allow_infinity=True).map(repr)
+    return [f"--m1={data.draw(m)}", f"--m2={data.draw(m)}"]
+
+
 @PROPERTY_SETTINGS
 @given(doc=summary_documents(), command=st.sampled_from(["moments", "mse", "pre"]),
        fmt=FORMATS, policy=POLICIES, data=st.data())
@@ -150,8 +157,7 @@ def test_summary_documents_end_in_a_known_exit_code(workdir, doc, command, fmt, 
     argv = [command, "--input", str(path), "--design", data.draw(designs(strata)),
             "--format", fmt, "--policy", policy]
     if command == "mse" and data.draw(st.booleans()):
-        m = st.floats(allow_nan=True, allow_infinity=True).map(repr)
-        argv += ["--m1", data.draw(m), "--m2", data.draw(m)]
+        argv += _tuning(data)
     _check(argv, fmt)
 
 
@@ -165,6 +171,8 @@ def test_generator_configs_end_in_a_known_exit_code(workdir, config, fmt, R, est
     argv = ["simulate", "--input", str(path),
             "--design", data.draw(designs(len(config["strata"]))),
             "--R", str(R), "--seed", "3", "--format", fmt, "--estimators", estimators]
+    if data.draw(st.booleans()):
+        argv += _tuning(data)
     _check(argv, fmt)
 
 
