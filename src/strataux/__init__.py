@@ -5,6 +5,8 @@ and a tuned exponential-regression form), their first-order MSE theory,
 optimal tuning, percent-relative-efficiency tables, and a reproducible
 Monte Carlo harness.
 """
+from importlib import import_module
+
 from .data_model import (
     InputError,
     Microdata,
@@ -31,22 +33,9 @@ from .efficiency import (
     pre_table,
     reproduce_kk2009,
 )
-from .estimators import (
-    ESTIMATOR_ORDER,
-    point_estimate,
-)
 from .moments import MomentSet, design_factors, moment_set
-from .monte_carlo import (
-    GeneratorStratum,
-    PopulationConfig,
-    SimulationReport,
-    draw_sample,
-    generate_population,
-    parse_generator_config,
-    population_fingerprint,
-    run_simulation,
-)
 from .mse_theory import (
+    ESTIMATOR_ORDER,
     MseBreakdown,
     TpDiagnostics,
     bias_tp,
@@ -106,3 +95,20 @@ __all__ = [
     "tp_diagnostics",
     "variance_mean",
 ]
+
+# Names whose submodule imports numpy, looked up there on every access (PEP 562):
+# the theory names load without numpy, and a rebinding in the submodule shows here.
+_LAZY = {"point_estimate": "estimators", **dict.fromkeys((
+    "GeneratorStratum", "PopulationConfig", "SimulationReport", "draw_sample",
+    "generate_population", "parse_generator_config", "population_fingerprint",
+    "run_simulation"), "monte_carlo")}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{_LAZY[name]}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})

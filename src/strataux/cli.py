@@ -19,8 +19,6 @@ import sys
 from dataclasses import asdict
 from typing import Optional, Sequence
 
-import numpy as np
-
 from .data_model import (
     InputError,
     Microdata,
@@ -35,14 +33,8 @@ from .data_model import (
     summarize,
 )
 from .efficiency import pre_table, reproduce_kk2009
-from .estimators import ESTIMATOR_ORDER
 from .moments import moment_set
-from .monte_carlo import (
-    generate_population,
-    generator_config,
-    run_simulation,
-)
-from .mse_theory import classic_breakdown, mse_tp, optimal_m, tp_diagnostics
+from .mse_theory import ESTIMATOR_ORDER, classic_breakdown, mse_tp, optimal_m, tp_diagnostics
 
 _FORMATS = ("text", "csv", "json")
 _POLICIES = ("prefer-correlation", "prefer-covariance", "strict")
@@ -216,6 +208,7 @@ def _cmd_pre(args) -> int:
 
 
 def _load_simulation_population(path: str) -> tuple[Microdata, tuple[str, ...]]:
+    from .monte_carlo import generate_population, generator_config
     text = _read_file(path)
     if not text.lstrip().startswith("{"):
         return parse_microdata(text), ()
@@ -233,6 +226,8 @@ def _load_simulation_population(path: str) -> tuple[Microdata, tuple[str, ...]]:
 
 
 def _cmd_simulate(args) -> int:
+    import numpy as np  # imported here, so the theory commands start without numpy
+    from .monte_carlo import run_simulation
     micro, notes = _load_simulation_population(args.input)
     design = _parse_design(args.design)
     estimators = None

@@ -18,9 +18,7 @@ from array import array
 from dataclasses import dataclass, fields, replace
 from functools import cached_property
 from itertools import islice
-from typing import Iterable, Iterator, Optional, Sequence
-
-import numpy as np
+from typing import Iterator, Optional, Sequence
 
 # A covariance/correlation pair is considered consistent when the relative
 # discrepancy |s_ab - rho_ab*s_a*s_b| / (s_a*s_b) stays within this bound.
@@ -162,17 +160,17 @@ class SampleDesign:
     def total(self) -> int:
         return sum(self.n)
 
-    def check_against(self, sizes: Sequence[int], names: Iterable) -> None:
+    def check_against(self, sizes: Sequence[int]) -> None:
         """InputError unless there is one n_h per stratum and n_h <= N_h, for
-        population sizes N_h in sizes; names name the strata in messages."""
+        population sizes N_h in sizes; a stratum is named by its position h."""
         if len(self.n) != len(sizes):
             raise InputError(
                 f"design has {len(self.n)} strata but population has {len(sizes)}"
             )
-        for n_h, N_h, name in zip(self.n, sizes, names):
+        for h, (n_h, N_h) in enumerate(zip(self.n, sizes), start=1):
             if n_h > N_h:
                 raise InputError(
-                    f"stratum {name}: sample size {n_h} exceeds population size {N_h}"
+                    f"stratum {h}: sample size {n_h} exceeds population size {N_h}"
                 )
 
 
@@ -180,6 +178,7 @@ def _record_array(records, where: str) -> np.ndarray:
     """(y, x, z) records as a read-only, C-contiguous (n, 3) float64 array; a
     view when records already is one, so nothing is copied and the caller's
     array keeps its flags. InputError for a misshapen record or a non-number."""
+    import numpy as np  # here and below: the theory path on a summary never loads numpy
     try:
         a = np.ascontiguousarray(records, dtype=np.float64).view()
         if a.ndim != 2 or a.shape[1] != 3:
@@ -201,7 +200,7 @@ class Microdata:
 
     Each stratum's (y, x, z) records, a sequence or an array, are held as one
     read-only, C-contiguous (N_h, 3) float64 array; equality compares labels,
-    shapes and bytes. groups holds the same records as tuples, built on first use.
+    shapes and bytes. groups (records as tuples) and summary are built on first use.
     """
 
     labels: tuple[str, ...]
@@ -228,6 +227,10 @@ class Microdata:
     @cached_property
     def groups(self) -> tuple[tuple[tuple[float, float, float], ...], ...]:
         return tuple(tuple(map(tuple, a.tolist())) for a in self.arrays)
+
+    @cached_property
+    def summary(self) -> PopulationSummary:
+        return _summarize(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -270,6 +273,7 @@ def parse_microdata(text: str) -> Microdata:
     counts records, blank ones too). One stable sort of label codes groups
     the strata in first-appearance order.
     """
+    import numpy as np
     failure: list[str] = []
     records = _records(csv.reader(io.StringIO(text)), failure)
     line, header = 0, None  # records read so far; the first nonblank one
@@ -321,6 +325,7 @@ def _records(reader, failure: list) -> Iterator[list[str]]:
 def _columns(rows: list[list[str]]) -> Optional[tuple[list[str], np.ndarray]]:
     """Nonblank records' stripped labels and (3, n) float64 values, or None
     when a record fails a check of _check_records."""
+    import numpy as np
     if set(map(len, rows)) != {4}:
         return None
     labels, *cells = zip(*rows)
@@ -360,7 +365,8 @@ _PRODUCTS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
 
 
 def summarize(micro: Microdata) -> PopulationSummary:
-    """Compute exact per-stratum summaries from microdata.
+    """Exact per-stratum summaries of microdata, computed once per Microdata
+    (micro.summary), whose read-only arrays cannot make them stale.
 
     Covariance and correlation pairs are consistent by construction, so the
     result needs no reconciliation. Compensated summation is used so that
@@ -369,6 +375,11 @@ def summarize(micro: Microdata) -> PopulationSummary:
     math.fsum, the same IEEE operations as a pure-Python loop, so the
     summaries are bit-identical to it.
     """
+    return micro.summary
+
+
+def _summarize(micro: Microdata) -> PopulationSummary:
+    import numpy as np
     i, j = np.array(_PRODUCTS).T
     strata = []
     for idx, (label, vals) in enumerate(zip(micro.labels, micro.arrays), start=1):

@@ -17,10 +17,10 @@ from .data_model import (
     embedded_kk2009,
     reconcile_covariances,
 )
-from .estimators import ESTIMATOR_ORDER
 from .moments import MomentSet, moment_set
 from .mse_theory import (
-    _NEGATIVE_MSE_WARNING, MseBreakdown, min_mse_tp, mse_classic, variance_mean,
+    _NEGATIVE_MSE_WARNING, ESTIMATOR_ORDER, MseBreakdown, min_mse_tp, mse_classic,
+    variance_mean,
 )
 
 # Reference PRE values published for the embedded six-stratum dataset, in

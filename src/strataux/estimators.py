@@ -33,18 +33,7 @@ from .data_model import (
     check_number,
 )
 from .moments import design_factors
-
-ESTIMATOR_ORDER = (
-    "mean",
-    "ratio",
-    "exp_ratio_x",
-    "exp_ratio_xz",
-    "exp_product_xz",
-    "exp_ratio_x_product_z",
-    "exp_product_x_ratio_z",
-    "regression",
-    "exp_regression",
-)
+from .mse_theory import ESTIMATOR_ORDER, FAMILY
 
 _NEEDS_SLOPES = ("regression", "exp_regression")
 
@@ -84,25 +73,6 @@ def sample_statistics(
     den = sums[1::2]
     b1, b2 = np.divide(sums[::2], den, out=np.full_like(den, np.nan), where=den != 0.0)
     return means, b1, b2
-
-
-# Each estimator as a point of the tuned family
-#   ybar_st * exp(m1*u) * exp(m2*v) [+ b1*(Xbar - xbar_st) + b2*(Zbar - zbar_st)]
-# with u = (Xbar - xbar_st)/(Xbar + xbar_st) and v likewise in z, given as
-# (m1, m2, slopes); None marks an absent factor. The point estimates and the
-# first-order MSEs both read this table. ratio is evaluated exactly as
-# ybar_st*Xbar/xbar_st, which agrees with m1 = 2 to first order;
-# exp_regression takes its exponents from the caller.
-FAMILY = {
-    "mean": (None, None, False),
-    "ratio": (2.0, None, False),
-    "exp_ratio_x": (1.0, None, False),
-    "exp_ratio_xz": (1.0, 1.0, False),
-    "exp_product_xz": (-1.0, -1.0, False),
-    "exp_ratio_x_product_z": (1.0, -1.0, False),
-    "exp_product_x_ratio_z": (-1.0, 1.0, False),
-    "regression": (None, None, True),
-}
 
 
 def estimate_rows(

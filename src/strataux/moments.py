@@ -57,7 +57,7 @@ def design_factors(
     pop: PopulationSummary, design: SampleDesign
 ) -> tuple[tuple[float, float], ...]:
     """Per-stratum (W_h, f_h) with W_h = N_h/N and f_h = 1/n_h - 1/N_h."""
-    design.check_against([s.N for s in pop.strata], [s.h for s in pop.strata])
+    design.check_against([s.N for s in pop.strata])
     return tuple(
         (w, 1.0 / n_h - 1.0 / s.N)
         for w, s, n_h in zip(pop.weights, pop.strata, design.n)

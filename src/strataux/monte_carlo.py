@@ -41,9 +41,9 @@ from .data_model import (
     document_entries,
     summarize,
 )
-from .estimators import ESTIMATOR_ORDER, estimate_rows, sample_statistics
+from .estimators import estimate_rows, sample_statistics
 from .moments import moment_set
-from .mse_theory import mse_classic, mse_tp, optimal_m
+from .mse_theory import ESTIMATOR_ORDER, mse_classic, mse_tp, optimal_m
 
 _MASK64 = (1 << 64) - 1
 _POP_STREAM_BASE = 1 << 63
@@ -256,7 +256,7 @@ def draw_sample(
 ) -> StratifiedSample:
     """One stratified SRSWOR draw under the documented stream contract: each
     stratum's observations are the rows of micro.arrays it picks, in pick order."""
-    design.check_against(micro.sizes, map(repr, micro.labels))
+    design.check_against(micro.sizes)
     idx = _draw_indices(master_seed, range(stream, stream + 1), micro.sizes, design.n)
     return StratifiedSample(design=design, observations=tuple(
         vals[rows[0]] for vals, rows in zip(micro.arrays, idx)))
@@ -325,7 +325,7 @@ def run_simulation(
     """
     if R < 1:
         raise InputError(f"replication count must be >= 1, got {R}")
-    design.check_against(micro.sizes, map(repr, micro.labels))
+    design.check_against(micro.sizes)
     requested = tuple(estimators) if estimators is not None else ESTIMATOR_ORDER
     for e in requested:
         if e not in ESTIMATOR_ORDER:

@@ -1,6 +1,6 @@
-"""First-order MSE and bias formulas, optimal tuning, and diagnostics.
-
-Everything here is a function of a MomentSet. The tuned estimator's MSE is
+"""The estimator table, first-order MSE and bias formulas, optimal tuning,
+and diagnostics; everything here but the table is a function of a
+MomentSet, and nothing here needs numpy. The tuned estimator's MSE is
 an exact quadratic in its two exponent parameters once written in the
 shifted coordinates a1 = m1/2 + D1, a2 = m2/2 + D2, with D1 = b1*Xbar/Ybar
 and D2 = b2*Zbar/Ybar:
@@ -26,8 +26,26 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .data_model import InputError, NumericalError, check_number
-from .estimators import FAMILY
 from .moments import MomentSet
+
+# Each estimator as a point of the tuned family
+#   ybar_st * exp(m1*u) * exp(m2*v) [+ b1*(Xbar - xbar_st) + b2*(Zbar - zbar_st)]
+# with u = (Xbar - xbar_st)/(Xbar + xbar_st) and v likewise in z, given as
+# (m1, m2, slopes); None marks an absent factor. The point estimates and the
+# first-order MSEs both read this table. ratio is evaluated exactly as
+# ybar_st*Xbar/xbar_st, which agrees with m1 = 2 to first order;
+# exp_regression, last in report order, takes its exponents from the caller.
+FAMILY = {
+    "mean": (None, None, False),
+    "ratio": (2.0, None, False),
+    "exp_ratio_x": (1.0, None, False),
+    "exp_ratio_xz": (1.0, 1.0, False),
+    "exp_product_xz": (-1.0, -1.0, False),
+    "exp_ratio_x_product_z": (1.0, -1.0, False),
+    "exp_product_x_ratio_z": (-1.0, 1.0, False),
+    "regression": (None, None, True),
+}
+ESTIMATOR_ORDER = (*FAMILY, "exp_regression")
 
 # relative floor on v020*v002 - v011^2 below which the quadratic is
 # treated as degenerate
@@ -95,7 +113,7 @@ def mse_classic(estimator: str, m: MomentSet) -> float:
     """First-order MSE of one of the non-tuned estimators.
 
     Each is the tuned quadratic at the estimator's point of the family
-    (estimators.FAMILY): a_i = m_i/2, plus D_i for the slope-bearing
+    (FAMILY): a_i = m_i/2, plus D_i for the slope-bearing
     regression estimator. The coefficients are powers of two, so these are
     the same bits as the estimators' own expansions. The regression
     estimator uses the correlation-based aggregate residual when the

@@ -1,4 +1,4 @@
-"""Command-line behavior: formats, determinism and exit codes."""
+"""Command-line behavior: formats, determinism, exit codes and what loads numpy."""
 import hashlib
 import json
 import os
@@ -8,8 +8,9 @@ import sys
 import numpy as np
 import pytest
 
+import strataux
 import strataux.mse_theory
-from strataux import embedded_kk2009, summary_to_json
+from strataux import embedded_kk2009, monte_carlo, summary_to_json
 from strataux.cli import main
 
 DESIGN = "31,21,29,38,22,39"
@@ -177,6 +178,15 @@ def test_simulate_runs_and_is_byte_deterministic(config_file, capsys):
     assert main(argv + ["--workers", "3"]) == 0
     third = capsys.readouterr().out
     assert third == first
+
+
+def test_design_errors_name_a_csv_stratum_alike_in_theory_and_simulation(micro_file, capsys):
+    argv = ["--input", micro_file, "--design", "5,2"]
+    assert main(["mse", *argv]) == 2
+    theory = capsys.readouterr().err
+    assert main(["simulate", *argv]) == 2
+    assert capsys.readouterr().err == theory == (
+        "error: stratum 1: sample size 5 exceeds population size 4\n")
 
 
 def test_simulate_accepts_estimator_subset(config_file, capsys):
@@ -462,3 +472,67 @@ def test_module_entry_point_is_reproducible():
     assert a.returncode == 0 and b.returncode == 0
     assert a.stdout == b.stdout
     assert b"RANK-MISMATCH" in a.stdout
+
+
+# Runs `python -m strataux ARGS` (or, with no ARGS, `import strataux` alone)
+# and reports on stderr's last line whether numpy was loaded at exit.
+_NUMPY_PROBE = """
+import runpy, sys
+try:
+    if len(sys.argv) > 1:
+        runpy.run_module("strataux", run_name="__main__", alter_sys=True)
+    else:
+        import strataux
+finally:
+    print("numpy loaded:", "numpy" in sys.modules, file=sys.stderr)
+"""
+
+
+def _probe_numpy(*argv):
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_PROBE, *argv],
+                          capture_output=True, text=True, timeout=60)
+    return proc.returncode, proc.stderr.splitlines()[-1]
+
+
+@pytest.mark.parametrize("command, fmt", [("reproduce-kk2009", "text")] + [
+    (command, fmt) for command in ("moments", "mse", "pre") for fmt in ("text", "csv", "json")])
+def test_theory_commands_never_load_numpy(summary_file, command, fmt):
+    argv = [command] if command == "reproduce-kk2009" else [
+        command, "--input", summary_file, "--design", DESIGN]
+    assert _probe_numpy(*argv, "--format", fmt) == (0, "numpy loaded: False")
+
+
+def test_import_and_input_errors_never_load_numpy(summary_file):
+    assert _probe_numpy() == (0, "numpy loaded: False")
+    assert _probe_numpy("mse", "--input", summary_file, "--design", "31;21") == (
+        2, "numpy loaded: False")
+
+
+def test_microdata_and_simulation_load_numpy_on_use(micro_file, config_file):
+    assert _probe_numpy("mse", "--input", micro_file, "--design", "2,3") == (
+        0, "numpy loaded: True")
+    assert _probe_numpy("simulate", "--input", config_file, "--design", "6,9",
+                        "--R", "20") == (0, "numpy loaded: True")
+
+
+LAZY_NAMES = {
+    "GeneratorStratum", "PopulationConfig", "SimulationReport", "draw_sample",
+    "generate_population", "parse_generator_config", "population_fingerprint",
+    "run_simulation", "point_estimate",
+}
+
+
+def test_package_namespace_resolves_lazy_names_on_every_access(monkeypatch):
+    from strataux import point_estimate, run_simulation
+
+    assert run_simulation is monte_carlo.run_simulation
+    assert point_estimate is strataux.estimators.point_estimate
+    assert all(getattr(strataux, name) is not None for name in strataux.__all__)
+    assert LAZY_NAMES <= set(dir(strataux)) and LAZY_NAMES <= set(strataux.__all__)
+    # never cached in the package, so a rebinding in the submodule shows through
+    assert not LAZY_NAMES & set(vars(strataux))
+    sentinel = object()
+    monkeypatch.setattr(monte_carlo, "run_simulation", sentinel)
+    assert strataux.run_simulation is sentinel
+    with pytest.raises(AttributeError, match="no attribute 'not_a_name'"):
+        strataux.not_a_name

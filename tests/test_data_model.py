@@ -362,11 +362,11 @@ def test_sample_design_validation():
     with pytest.raises(InputError, match="must be an integer >= 1"):
         SampleDesign(n=(3, 0))
     pop = PopulationSummary(strata=(_stratum(),))
-    sizes, names = [s.N for s in pop.strata], [s.h for s in pop.strata]
+    sizes = [s.N for s in pop.strata]
     with pytest.raises(InputError, match="design has 2 strata"):
-        SampleDesign(n=(3, 3)).check_against(sizes, names)
-    with pytest.raises(InputError, match="exceeds population size"):
-        SampleDesign(n=(11,)).check_against(sizes, names)
+        SampleDesign(n=(3, 3)).check_against(sizes)
+    with pytest.raises(InputError, match="stratum 1: sample size 11 exceeds population size"):
+        SampleDesign(n=(11,)).check_against(sizes)
     assert SampleDesign(n=(4, 5)).total == 9
 
 

@@ -25,7 +25,7 @@ from strataux import (
     summarize,
     variance_mean,
 )
-from strataux import monte_carlo
+from strataux import data_model, monte_carlo
 from strataux.monte_carlo import GENERATOR_NAME
 
 
@@ -299,10 +299,10 @@ def test_subsets_are_uniform_across_streams_with_collisions():
 
 def test_draw_sample_design_mismatch(small_population):
     micro, _ = small_population
-    # the summary path's wording, with each stratum named by its label
+    # the summary path's wording: a stratum is named by its position in the design
     with pytest.raises(InputError, match="design has 3 strata but population has 2"):
         draw_sample(micro, SampleDesign(n=(5, 5, 5)), master_seed=0)
-    with pytest.raises(InputError, match="stratum '1': sample size 41 exceeds population size 40"):
+    with pytest.raises(InputError, match="stratum 1: sample size 41 exceeds population size 40"):
         draw_sample(micro, SampleDesign(n=(41, 5)), master_seed=0)
 
 
@@ -332,6 +332,17 @@ def test_simulation_report_is_deterministic(small_population):
     assert a.fingerprint == population_fingerprint(micro)
     assert a.design == (6, 9)
     assert a.R == 300 and a.seed == 42
+
+
+def test_simulation_summarizes_a_generated_population_once(monkeypatch):
+    # generate_population summarizes its population; run_simulation reuses that summary
+    calls = []
+    real = data_model._summarize
+    monkeypatch.setattr(data_model, "_summarize", lambda micro: calls.append(micro) or real(micro))
+    micro, pop = generate_population(_config())
+    run_simulation(micro, SampleDesign(n=(6, 9)), R=10, master_seed=1)
+    assert calls == [micro]
+    assert summarize(micro) is pop
 
 
 def test_worker_count_does_not_change_results(small_population):
