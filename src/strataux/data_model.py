@@ -15,7 +15,7 @@ import io
 import json
 import math
 from array import array
-from dataclasses import dataclass, fields, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from functools import cached_property
 from itertools import islice
 from typing import Iterator, Optional, Sequence
@@ -46,10 +46,31 @@ class ValidationError(ValueError):
 
 def check_number(what: str, value: float) -> None:
     """InputError unless value is finite and within MAX_MAGNITUDE."""
-    if not math.isfinite(value):
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an int beyond float range
+        raise InputError(f"{what} is beyond +-{MAX_MAGNITUDE:g}") from None
+    if not finite:
         raise InputError(f"{what} must be finite, got {value}")
     if abs(value) > MAX_MAGNITUDE:
         raise InputError(f"{what} = {value:.6g} is beyond +-{MAX_MAGNITUDE:g}")
+
+
+def check_record(record, where: str, sds: Sequence[str]) -> None:
+    """InputError unless the dataclass record has a population size N >= 2,
+    every number (label and None skipped) passes check_number, the SDs
+    named in sds are >= 0 and every rho_* lies in [-1, 1]. where prefixes
+    each message."""
+    if record.N < 2:
+        raise InputError(f"{where}population size needs N >= 2, got {record.N}")
+    for f in fields(record):
+        if f.name == "label" or (v := getattr(record, f.name)) is None:
+            continue
+        check_number(f"{where}{f.name}", v)
+        if f.name in sds and v < 0:
+            raise InputError(f"{where}{f.name} must be >= 0")
+        if f.name.startswith("rho_") and not -1.0 <= v <= 1.0:
+            raise InputError(f"{where}{f.name}={v} outside [-1, 1]")
 
 
 @dataclass(frozen=True)
@@ -82,19 +103,7 @@ class StratumSummary:
     def __post_init__(self) -> None:
         if self.h < 1:
             raise InputError(f"stratum index must be >= 1, got {self.h}")
-        if self.N < 2:
-            raise InputError(f"stratum {self.h}: population size must be >= 2, got {self.N}")
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if f.name not in ("h", "N", "label") and v is not None:
-                check_number(f"stratum {self.h}: {f.name}", v)
-        for name in ("s_y", "s_x", "s_z"):
-            if getattr(self, name) < 0:
-                raise InputError(f"stratum {self.h}: {name} must be >= 0")
-        for name in ("rho_yx", "rho_yz", "rho_xz"):
-            r = getattr(self, name)
-            if not -1.0 <= r <= 1.0:
-                raise InputError(f"stratum {self.h}: {name}={r} outside [-1, 1]")
+        check_record(self, f"stratum {self.h}: ", ("s_y", "s_x", "s_z"))
 
     def sd_pair(self, pair: str) -> tuple[float, float]:
         a, b = pair
@@ -561,31 +570,26 @@ def embedded_kk2009() -> tuple[PopulationSummary, SampleDesign]:
     return PopulationSummary(strata=strata), design
 
 
-_REQUIRED_FIELDS = tuple(
-    f.name for f in fields(StratumSummary) if f.name not in
-    ("beta2_y", "beta2_x", "beta2_z", "label")
-)
-_OPTIONAL_FIELDS = ("beta2_y", "beta2_x", "beta2_z", "label")
-
-
 def decode_json(text: str, what: str):
     """json.loads, with a decoding error reported as an InputError."""
     try:
         return json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as e:  # too deeply nested
+    # ValueError covers JSONDecodeError and an integer literal over the
+    # interpreter's digit limit; RecursionError a document nested too deeply
+    except (ValueError, RecursionError) as e:
         raise InputError(f"invalid {what}: {e}") from None
 
 
-def document_entries(
-    doc, what: str, entry: str, top: Sequence[str], required: Sequence[str],
-    optional: Sequence[str] = (), integers: Sequence[str] = (),
-) -> list[dict]:
-    """Check a decoded document and return its strata as keyword arguments.
+def document_entries(doc, what: str, entry: str, top: Sequence[str], record: type) -> tuple:
+    """Check a decoded document and return its strata as record instances.
 
     The document must be an object with no top-level field outside top and
-    a 'strata' list of objects. Each object needs every required field and
-    nothing outside required + optional; fields named in integers hold
-    integers, label holds a string or null, and the rest hold numbers.
+    a 'strata' list of objects. The fields of the dataclass record are the
+    schema of each object: a field without a default is required, one with
+    a default may be left out, and no other key is allowed. A field
+    annotated int holds an integer, label a string or null, and every other
+    field a number. Records are built once every object has passed these
+    checks, so a type error anywhere is reported before a value error.
     """
     if not isinstance(doc, dict):
         raise InputError(f"{what} must be an object")
@@ -594,15 +598,17 @@ def document_entries(
         raise InputError(f"unknown top-level field(s): {sorted(unknown)}")
     if not isinstance(doc.get("strata"), list):
         raise InputError(f"{what} needs a 'strata' list")
+    schema = {f.name: f for f in fields(record)}
+    required = {name for name, f in schema.items() if f.default is MISSING}
     entries = []
     for i, item in enumerate(doc["strata"], start=1):
         where = f"{entry} {i}"
         if not isinstance(item, dict):
             raise InputError(f"{where} must be an object")
-        bad = set(item) - set(required) - set(optional)
+        bad = set(item) - set(schema)
         if bad:
             raise InputError(f"unknown field(s) {sorted(bad)} in {where}")
-        missing = set(required) - set(item)
+        missing = required - set(item)
         if missing:
             raise InputError(f"missing field(s) {sorted(missing)} in {where}")
         kw = {}
@@ -610,7 +616,7 @@ def document_entries(
             if name == "label":
                 if value is not None and not isinstance(value, str):
                     raise InputError(f"{where}: label must be a string")
-            elif name in integers:
+            elif schema[name].type == "int":  # annotations are strings (PEP 563)
                 if isinstance(value, bool) or not isinstance(value, int):
                     raise InputError(f"{where}: {name} must be an integer")
             elif isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -622,27 +628,18 @@ def document_entries(
                     raise InputError(f"{where}: {name} is too large for a float") from None
             kw[name] = value
         entries.append(kw)
-    return entries
+    return tuple(record(**kw) for kw in entries)
 
 
 def parse_summary(text: str) -> PopulationSummary:
     """Parse a JSON summary document with a top-level ``strata`` list."""
-    entries = document_entries(
+    return PopulationSummary(strata=document_entries(
         decode_json(text, "summary document"), "summary document", "stratum entry",
-        ("strata",), _REQUIRED_FIELDS, _OPTIONAL_FIELDS, integers=("h", "N"),
-    )
-    return PopulationSummary(strata=tuple(StratumSummary(**kw) for kw in entries))
+        ("strata",), StratumSummary,
+    ))
 
 
 def summary_to_json(summary: PopulationSummary) -> str:
     """Serialize a PopulationSummary; floats round-trip bit-exactly."""
-    items = []
-    for s in summary.strata:
-        d = {}
-        for f in fields(StratumSummary):
-            v = getattr(s, f.name)
-            if v is None and f.name in _OPTIONAL_FIELDS:
-                continue
-            d[f.name] = v
-        items.append(d)
+    items = [{k: v for k, v in asdict(s).items() if v is not None} for s in summary.strata]
     return json.dumps({"strata": items}, indent=2)

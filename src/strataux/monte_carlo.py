@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
@@ -36,7 +36,7 @@ from .data_model import (
     SampleDesign,
     StratifiedSample,
     ValidationError,
-    check_number,
+    check_record,
     decode_json,
     document_entries,
     summarize,
@@ -74,20 +74,10 @@ class GeneratorStratum:
     rho_xz: float
 
     def __post_init__(self) -> None:
-        if self.N < 2:
-            raise InputError(f"generator stratum needs N >= 2, got {self.N}")
-        for f in fields(self):
-            if f.name != "N":
-                check_number(f"generator target {f.name}", getattr(self, f.name))
+        check_record(self, "generator target ", ("sd_y", "sd_x", "sd_z"))
         for name in ("mean_y", "mean_x", "mean_z"):
             if getattr(self, name) <= 0.0:
                 raise InputError(f"generator target {name} must be positive")
-        for name in ("sd_y", "sd_x", "sd_z"):
-            if getattr(self, name) < 0.0:
-                raise InputError(f"generator target {name} must be >= 0")
-        for name in ("rho_yx", "rho_yz", "rho_xz"):
-            if not -1.0 <= getattr(self, name) <= 1.0:
-                raise InputError(f"generator target {name} outside [-1, 1]")
 
 
 @dataclass(frozen=True)
@@ -398,12 +388,6 @@ def run_simulation(
     )
 
 
-_GEN_FIELDS = (
-    "N", "mean_y", "mean_x", "mean_z", "sd_y", "sd_x", "sd_z",
-    "rho_yx", "rho_yz", "rho_xz",
-)
-
-
 def parse_generator_config(text: str) -> PopulationConfig:
     """Parse a JSON generator config: {"seed": ..., "strata": [{...}]}."""
     return generator_config(decode_json(text, "generator config"))
@@ -411,11 +395,9 @@ def parse_generator_config(text: str) -> PopulationConfig:
 
 def generator_config(doc) -> PopulationConfig:
     """Validate a decoded generator config document."""
-    entries = document_entries(
-        doc, "generator config", "generator stratum", ("seed", "strata"), _GEN_FIELDS,
-        integers=("N",),
-    )
+    strata = document_entries(
+        doc, "generator config", "generator stratum", ("seed", "strata"), GeneratorStratum)
     seed = doc.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int):
         raise InputError("seed must be an integer")
-    return PopulationConfig(strata=tuple(GeneratorStratum(**kw) for kw in entries), seed=seed)
+    return PopulationConfig(strata=strata, seed=seed)

@@ -374,6 +374,28 @@ def test_huge_summary_values_exit_2(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["moments", "--input", str(path), "--design", DESIGN]) == 2
     assert "error: stratum 1: ybar = 1e+300 is beyond" in capsys.readouterr().err
+    # an N beyond float range used to end in an OverflowError traceback at 1.0 / N
+    doc["strata"][0]["ybar"] = 703.74
+    doc["strata"][1]["N"] = 10 ** 400
+    path.write_text(json.dumps(doc))
+    for command in ("moments", "mse", "pre"):
+        assert main([command, "--input", str(path), "--design", DESIGN]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: stratum 2: N is beyond +-1e+100" in captured.err
+
+
+def test_over_long_integer_literals_exit_2(tmp_path, capsys):
+    # json.loads refuses an integer literal over 4300 digits with a plain ValueError
+    digits = "9" * 5000
+    path = tmp_path / "long.json"
+    pop, _ = embedded_kk2009()
+    path.write_text(summary_to_json(pop).replace('"N": 127', f'"N": {digits}'))
+    assert main(["pre", "--input", str(path), "--design", DESIGN]) == 2
+    assert "error: invalid summary document: Exceeds the limit" in capsys.readouterr().err
+    path.write_text(json.dumps(GEN_CONFIG).replace('"seed": 13', f'"seed": {digits}'))
+    assert main(["simulate", "--input", str(path), "--design", "6,9", "--R", "5"]) == 2
+    assert "error: invalid generator config: Exceeds the limit" in capsys.readouterr().err
 
 
 def test_non_finite_generator_target_exits_2(tmp_path, capsys):

@@ -2,8 +2,11 @@
 import csv
 import dataclasses
 import io
+import json
 import math
 import random
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from strataux import (
     StratumSummary,
     ValidationError,
     embedded_kk2009,
+    parse_generator_config,
     parse_microdata,
     parse_summary,
     reconcile_covariances,
@@ -346,6 +350,10 @@ def test_numbers_beyond_the_working_range_are_input_errors():
     # squares of these would overflow float64 in the theory
     with pytest.raises(InputError, match=r"stratum 1: xbar = -1e\+120 is beyond"):
         _stratum(xbar=-1e120)
+    # an int beyond float range, which math.isfinite cannot take
+    for field in ("ybar", "N"):
+        with pytest.raises(InputError, match=rf"stratum 1: {field} is beyond \+-1e\+100"):
+            _stratum(**{field: 10 ** 400})
     micro = parse_microdata("stratum,y,x,z\nA,1,2,3\nA,2,5e120,5\nA,3,6,7\n")
     with pytest.raises(InputError, match="stratum 'A': a value of x is beyond"):
         summarize(micro)
@@ -388,8 +396,21 @@ def test_sample_shape_validation():
 
 def test_summary_json_round_trip_is_bit_exact():
     pop, _ = embedded_kk2009()
-    back = parse_summary(summary_to_json(pop))
-    assert back == pop  # dataclass equality compares every float bitwise
+    bare = PopulationSummary(strata=(_stratum(),))  # no beta2_* and no label
+    labelled = PopulationSummary(strata=(_stratum(label="A", beta2_x=3.5),))
+    for summary in (pop, bare, labelled):
+        back = parse_summary(summary_to_json(summary))
+        assert back == summary  # dataclass equality compares every float bitwise
+    # the optional fields may be left out of a document
+    entry = json.loads(summary_to_json(bare))["strata"][0]
+    assert not {"beta2_y", "beta2_x", "beta2_z", "label"} & set(entry)
+
+
+def test_readme_json_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    summary, config = re.findall(r"```json\n(.*?)```", readme, re.S)
+    assert parse_summary(summary).strata[0].N == 127
+    assert parse_generator_config(config).strata[0].sd_y == 12.5
 
 
 def test_parse_summary_rejects_malformed_documents():
@@ -400,8 +421,6 @@ def test_parse_summary_rejects_malformed_documents():
     with pytest.raises(InputError, match="unknown top-level"):
         parse_summary('{"strata": [], "extra": 1}')
     good = summary_to_json(PopulationSummary(strata=(_stratum(),)))
-    import json
-
     doc = json.loads(good)
     doc["strata"][0]["typo"] = 1.0
     with pytest.raises(InputError, match=r"unknown field\(s\) \['typo'\]"):
@@ -412,6 +431,28 @@ def test_parse_summary_rejects_malformed_documents():
         parse_summary(json.dumps(doc))
     doc["strata"][0]["s_yx"] = "1.0"
     with pytest.raises(InputError, match="must be a number"):
+        parse_summary(json.dumps(doc))
+    doc = json.loads(good)
+    for name, value, message in [("h", 50.0, "h must be an integer"),
+                                 ("h", True, "h must be an integer"),
+                                 ("N", 50.0, "N must be an integer"),
+                                 ("N", True, "N must be an integer"),
+                                 ("ybar", "x", "ybar must be a number"),
+                                 ("beta2_y", "x", "beta2_y must be a number"),
+                                 ("label", 3, "label must be a string")]:
+        bad = json.loads(good)
+        bad["strata"][0][name] = value
+        with pytest.raises(InputError, match=f"stratum entry 1: {message}"):
+            parse_summary(json.dumps(bad))
+    for name in ("h", "N", "zbar", "rho_yx"):
+        bad = json.loads(good)
+        del bad["strata"][0][name]
+        with pytest.raises(InputError, match=rf"missing field\(s\) \['{name}'\] in stratum entry 1"):
+            parse_summary(json.dumps(bad))
+    # a type error in a later entry is reported before a value error in an earlier one
+    doc["strata"].append(dict(doc["strata"][0], h=2.0))
+    doc["strata"][0]["N"] = 1
+    with pytest.raises(InputError, match="stratum entry 2: h must be an integer"):
         parse_summary(json.dumps(doc))
 
 

@@ -81,11 +81,28 @@ def test_generator_config_rejects_bad_documents():
     del short["sd_z"]
     with pytest.raises(InputError, match="sd_z"):
         parse_generator_config(json.dumps({"seed": 1, "strata": [short]}))
+    for value in (50.0, True):
+        with pytest.raises(InputError, match="generator stratum 1: N must be an integer"):
+            parse_generator_config(json.dumps({"strata": [dict(ok, N=value)]}))
+    for name in ("mean_y", "sd_x", "rho_xz"):
+        with pytest.raises(InputError, match=f"generator stratum 1: {name} must be a number"):
+            parse_generator_config(json.dumps({"strata": [dict(ok, **{name: "x"})]}))
+    for name in ("N", "mean_x", "rho_yz"):
+        missing = {k: v for k, v in ok.items() if k != name}
+        with pytest.raises(InputError, match=rf"missing field\(s\) \['{name}'\] in generator stratum 1"):
+            parse_generator_config(json.dumps({"strata": [missing]}))
+    with pytest.raises(InputError, match=r"unknown field\(s\) \['label'\]"):
+        parse_generator_config(json.dumps({"strata": [dict(ok, label="A")]}))
+    cfg = parse_generator_config(json.dumps({"strata": [ok]}))
+    assert cfg.seed == 0 and isinstance(cfg.strata[0].N, int)
+    assert isinstance(cfg.strata[0].mean_y, float)
 
 
 def test_generator_stratum_validation():
     with pytest.raises(InputError, match="N >= 2"):
         _stratum(N=1)
+    with pytest.raises(InputError, match=r"generator target N is beyond \+-1e\+100"):
+        _stratum(N=10 ** 400)
     with pytest.raises(InputError, match="mean_y must be positive"):
         _stratum(mean_y=0.0)
     with pytest.raises(InputError, match="sd_x must be >= 0"):

@@ -212,6 +212,8 @@ def test_non_finite_parameters_rejected(m_rho):
         mse_tp(m_rho, math.nan, 0.0)
     with pytest.raises(InputError, match="must be finite"):
         mse_tp(m_rho, 0.0, math.inf)
+    with pytest.raises(InputError, match=r"m1 is beyond \+-1e\+100"):
+        mse_tp(m_rho, 10 ** 400, 1.0)  # an int beyond float range
     with pytest.raises(InputError, match="no closed-form MSE"):
         mse_classic("exp_regression", m_rho)
     with pytest.raises(InputError, match="no closed-form MSE"):
