@@ -10,8 +10,8 @@ reads only raw 64-bit words of a counter-based Philox4x64-10 keyed
 (master_seed, stream), never a Generator method, whose streams numpy may
 change between versions (NEP 19). Replicate r reads its own counter blocks
 of stream 0, maps each word to a range by Lemire's multiply-shift and
-selects each stratum's sample by Floyd's algorithm at O(n_h) per stratum
-(see _draw_indices); population synthesis for stratum h uses stream
+selects each stratum's sample by Floyd's algorithm, never O(N_h) per
+stratum (see _draw_indices); population synthesis for stratum h uses stream
 2^63 + h. Reports depend neither on the block size nor on the ignored
 worker count, and any replicate can be re-drawn alone with draw_sample.
 Contract v1 ("philox4x64") took rng.permutation(N_h)[:n_h] per stratum
@@ -145,8 +145,8 @@ def _draw_indices(
     Column j of a stream is draw k of its stratum, strata in turn: t_k in
     [0, J + k] with J = N_h - n_h selects itself unless an earlier draw of
     the stratum already selected it, and J + k otherwise (Bentley & Floyd
-    1987), so every n_h-subset is equally likely at O(n_h) per stratum
-    (_floyd_select, over the whole block at once).
+    1987), so every n_h-subset is equally likely, at O(n_h log n_h) per
+    stream and stratum plus a pass per link of the longest chain; never O(N_h).
 
     With width = Σn_h and C = ceil(width / 4), stream r takes the raw words
     of counter blocks r'·C + 1 .. r'·C + C, r' = r mod 2^64, of the
@@ -207,10 +207,9 @@ def _floyd_select(t: np.ndarray, k: np.ndarray, top: np.ndarray,
           selected or collided, it is taken by now), or
       (b) t_k = J + i for an earlier i that collided itself.
     (a) comes from one sort of each row. (b) links draw k back to draw
-    i = t_k - J whenever J <= t_k < J + k; following the links ends at a
-    draw whose collision is (a) alone, and pointer jumping over the linked
-    draws finds it in O(log n_h) passes. Cost is O(n_h log n_h) per row and
-    stratum, never O(N_h).
+    i = t_k - J when J <= t_k < J + k; flags only turn on, so pass p settles
+    each draw p links from an (a) collision. Cost: O(n_h log n_h) per row and
+    stratum to sort, plus a pass per link of the longest chain; never O(N_h).
     """
     B, width = t.shape
     # (a): sort codes (unit, column), units offset by stratum so equal draws
@@ -223,20 +222,12 @@ def _floyd_select(t: np.ndarray, k: np.ndarray, top: np.ndarray,
     rows, j = np.nonzero(unit[:, 1:] == unit[:, :-1])
     collided = np.zeros((B, width), dtype=bool)
     collided[rows, code[rows, j + 1] % width] = True
-    # (b): a linked draw k at flat index f points back to f - (k - i), its
-    # draw i; repeats are ends of chains, as their collision is settled
     back = np.subtract(top, t, out=code)
     src = np.flatnonzero((back > 0) & (back <= k) & ~collided)
-    root = src - back.ravel()[src]
+    dst = src - back.ravel()[src]  # (b): draw k links k - i columns back
     collided = collided.ravel()
-    while True:
-        # root < its own src, so every root has a src at or after it
-        at = np.searchsorted(src, root)
-        hop = src[at] == root
-        if not hop.any():
-            break
-        root = np.where(hop, root[at], root)
-    collided[src] = collided[root]
+    while (new := collided[dst] & ~collided[src]).any():
+        collided[src[new]] = True
     np.copyto(t, top, where=collided.reshape(B, width))
     return t
 
@@ -318,8 +309,9 @@ def run_simulation(
     design.check_against(micro.sizes)
     requested = tuple(estimators) if estimators is not None else ESTIMATOR_ORDER
     for e in requested:
-        if e not in ESTIMATOR_ORDER:
-            raise InputError(f"unknown estimator {e!r}")
+        if e not in ESTIMATOR_ORDER or requested.count(e) > 1:
+            what = "unknown" if e not in ESTIMATOR_ORDER else "repeated"
+            raise InputError(f"{what} estimator {e!r}")
 
     pop = summarize(micro)
     mset = moment_set(pop, design)

@@ -183,6 +183,9 @@ def optimal_m(m: MomentSet) -> tuple[float, float]:
     its natural scale (collinear or degenerate auxiliaries), or negative
     (an indefinite quadratic with no interior minimum), is an error.
     """
+    if m.census:
+        raise NumericalError("moment system degenerate: census design (every f_h = 0), "
+                             "the tuning optimum is undefined")
     det = m.v020 * m.v002 - m.v011 * m.v011
     scale = max(m.v020 * m.v002, m.v011 * m.v011)
     if scale == 0.0:

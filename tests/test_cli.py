@@ -197,6 +197,14 @@ def test_simulate_accepts_estimator_subset(config_file, capsys):
     assert "ratio" in out and "exp_ratio_x" not in out
 
 
+def test_simulate_rejects_a_repeated_estimator(config_file, capsys):
+    assert main(["simulate", "--input", config_file, "--design", "6,9", "--R", "5",
+                 "--estimators", "exp_regression,exp_regression,mean"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: repeated estimator 'exp_regression'\n"
+
+
 def test_simulate_rejects_summary_documents(summary_file, capsys):
     assert main(["simulate", "--input", summary_file, "--design", DESIGN]) == 2
     assert "cannot be sampled from" in capsys.readouterr().err
@@ -451,6 +459,13 @@ def test_exit_code_3_on_degenerate_moments(tmp_path, capsys):
     path.write_text(json.dumps(doc))
     assert main(["mse", "--input", str(path), "--design", "5"]) == 3
     assert "numerical error: combined slope b1" in capsys.readouterr().err
+
+
+def test_census_mse_names_the_census_design(summary_file, capsys):
+    census = ",".join(str(s.N) for s in embedded_kk2009()[0].strata)
+    assert main(["mse", "--input", summary_file, "--design", census]) == 3
+    err = capsys.readouterr().err
+    assert "census design" in err and "no auxiliary variation" not in err
 
 
 def test_exit_code_4_on_strict_policy(summary_file, capsys):

@@ -439,7 +439,8 @@ def test_parse_summary_rejects_malformed_documents():
                                  ("N", True, "N must be an integer"),
                                  ("ybar", "x", "ybar must be a number"),
                                  ("beta2_y", "x", "beta2_y must be a number"),
-                                 ("label", 3, "label must be a string")]:
+                                 ("label", 3, "label must be a string"),
+                                 ("ybar", 10**400, "ybar is too large for a float")]:
         bad = json.loads(good)
         bad["strata"][0][name] = value
         with pytest.raises(InputError, match=f"stratum entry 1: {message}"):

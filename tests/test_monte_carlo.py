@@ -276,6 +276,7 @@ def test_draw_sample_follows_documented_stream_contract(small_population):
     ((9, 14, 30), (4, 13, 2)),  # several strata at once; 13 = N_h - 1
     ((7, 5, 2), (1, 5, 1)),  # n_h = 1 and a census
     ((3_000_000_000, 6), (3, 5)),  # sort codes beyond int32
+    ((60, 500), (59, 499)),  # near-census strata: the longest collision chains
 ])
 def test_batched_floyd_matches_a_set_based_floyd(sizes, n):
     # the same integers, draw k of a stratum in [0, N_h - n_h + k], through
@@ -482,6 +483,8 @@ def test_estimator_subset_controls_rows(small_population):
         "exp_regression", "exp_regression_opt"]
     with pytest.raises(InputError, match="unknown estimator"):
         run_simulation(micro, design, R=5, master_seed=1, estimators=("t1",))
+    with pytest.raises(InputError, match="repeated estimator 'mean'"):
+        run_simulation(micro, design, R=5, master_seed=1, estimators=("mean", "mean"))
     with pytest.raises(InputError, match="replication count"):
         run_simulation(micro, design, R=0, master_seed=1)
 
