@@ -23,7 +23,6 @@ from .data_model import (
     InputError,
     Microdata,
     NumericalError,
-    PopulationSummary,
     SampleDesign,
     ValidationError,
     decode_json,
@@ -33,8 +32,8 @@ from .data_model import (
     summarize,
 )
 from .efficiency import pre_table, reproduce_kk2009
-from .moments import moment_set
-from .mse_theory import ESTIMATOR_ORDER, classic_breakdown, mse_tp, optimal_m, tp_diagnostics
+from .moments import MomentSet, moment_set
+from .mse_theory import ESTIMATOR_ORDER, FAMILY, classic_breakdown, min_mse_tp, mse_tp, tp_diagnostics
 
 _FORMATS = ("text", "csv", "json")
 _POLICIES = ("prefer-correlation", "prefer-covariance", "strict")
@@ -74,26 +73,28 @@ def _json_safe(obj):
     return obj
 
 
-def _emit(fmt: str, doc: dict, header: list[str], rows: list[list], footer: dict,
+def _emit(args, body: dict, header: list[str], rows: list[list], footer: dict,
           before: Sequence[str] = (), after: Sequence[str] = (),
           csv_footer: Optional[dict] = None) -> int:
     """Print one command's result and return its exit code.
 
-    json prints doc, non-finite floats as null; csv prints the rows with
-    full precision and then the footer (csv_footer when given) as comment
-    lines; text prints the before lines, the rows as a table of 6
-    significant digits, the after lines and the footer.
+    json prints {"command", **body, "provenance": footer}, non-finite
+    floats as null; csv prints the rows with full precision and then the
+    footer (csv_footer when given) as comment lines, None as "-"; text
+    prints the before lines, the rows as a table of 6 significant digits,
+    the after lines and the footer.
     """
-    if fmt == "json":
+    if args.format == "json":
+        doc = {"command": args.command, **body, "provenance": footer}
         print(json.dumps(_json_safe(doc), indent=2, allow_nan=False))
-    elif fmt == "csv":
+    elif args.format == "csv":
         buf = io.StringIO()
         w = csv.writer(buf, lineterminator="\n")
         w.writerow(header)
         for row in rows:
             w.writerow(["" if c is None else c for c in row])
         for k, v in (csv_footer or footer).items():
-            buf.write(f"# {k}: {v}\n")
+            buf.write(f"# {k}: {'-' if v is None else v}\n")
         print(buf.getvalue(), end="")
     else:
         table = _table(header, [[c if isinstance(c, str) else _fmt(c) for c in r] for r in rows])
@@ -119,58 +120,45 @@ def _parse_design(text: str) -> SampleDesign:
     return SampleDesign(n=values)
 
 
-def _load_summary(path: str, policy: str) -> tuple[PopulationSummary, int]:
-    """Read microdata csv or summary json, reconcile, return repair count."""
-    text = _read_file(path)
+def _theory_input(args) -> tuple[MomentSet, dict]:
+    """The --design MomentSet of --input (microdata csv or summary json)
+    reconciled under --policy, and the footer naming both."""
+    text = _read_file(args.input)
     if text.lstrip().startswith("{"):
         summary = parse_summary(text)
     else:
         summary = summarize(parse_microdata(text))
-    reconciled, report = reconcile_covariances(summary, policy)
-    return reconciled, len(report.repaired)
-
-
-def _provenance(lead: dict, extra: dict) -> dict:
-    """A footer: lead's entries, the formulas line, then extra's."""
-    return {**lead, "formulas": _FORMULAS, **extra}
+    pop, report = reconcile_covariances(summary, args.policy)
+    footer = {"policy": args.policy, "formulas": _FORMULAS,
+              "repaired_pairs": len(report.repaired)}
+    return moment_set(pop, _parse_design(args.design)), footer
 
 
 def _cmd_moments(args) -> int:
-    pop, repaired = _load_summary(args.input, args.policy)
-    m = moment_set(pop, _parse_design(args.design))
-    footer = _provenance({"policy": args.policy}, {"repaired_pairs": repaired})
+    m, footer = _theory_input(args)
     names = ("v200", "v020", "v002", "v110", "v101", "v011",
              "ybar", "xbar", "zbar", "b1", "b2")
     rows = [[n, getattr(m, n)] for n in names] + [["census", m.census]]
-    doc = {"command": "moments", "moments": asdict(m), "provenance": footer}
-    return _emit(args.format, doc, ["quantity", "value"], rows, footer,
+    return _emit(args, {"moments": asdict(m)}, ["quantity", "value"], rows, footer,
                  after=[f"warning: {w}" for w in m.warnings])
 
 
 def _cmd_mse(args) -> int:
-    pop, repaired = _load_summary(args.input, args.policy)
-    m = moment_set(pop, _parse_design(args.design))
-    m1s, m2s = optimal_m(m)
-    breakdowns = [
-        mse_tp(m, m1s, m2s) if e == "exp_regression" else classic_breakdown(e, m)
-        for e in ESTIMATOR_ORDER
-    ]
-    if args.m1 is not None or args.m2 is not None:
-        if args.m1 is None or args.m2 is None:
-            raise InputError("--m1 and --m2 must be given together")
+    if (args.m1 is None) != (args.m2 is None):
+        raise InputError("--m1 and --m2 must be given together")
+    m, footer = _theory_input(args)
+    breakdowns = [classic_breakdown(e, m) for e in FAMILY]
+    # a census has no optimum (min_mse_tp raises), but every MSE there is exactly 0
+    tuned = None if m.census and args.m1 is not None else min_mse_tp(m)
+    m1s, m2s = (tuned.m1, tuned.m2) if tuned else (None, None)
+    breakdowns += [tuned] if tuned else []
+    if args.m1 is not None:
         breakdowns.append(mse_tp(m, args.m1, args.m2))
-    diag = tp_diagnostics(
-        m,
-        args.m1 if args.m1 is not None else m1s,
-        args.m2 if args.m2 is not None else m2s,
-    )
-    footer = _provenance({"policy": args.policy}, {"repaired_pairs": repaired})
-    doc = {
-        "command": "mse",
+    diag = tp_diagnostics(m, breakdowns[-1].m1, breakdowns[-1].m2)
+    body = {
         "rows": [asdict(b) for b in breakdowns],
         "optimal": {"m1": m1s, "m2": m2s},
         "diagnostics": asdict(diag),
-        "provenance": footer,
     }
     header = ["estimator", "mse", "m1", "m2", "bias", "warning"]
     rows = [[b.estimator, b.mse, b.m1, b.m2, b.bias, b.warning or ""] for b in breakdowns]
@@ -185,26 +173,20 @@ def _cmd_mse(args) -> int:
         f"  optimum solved ({_fmt(diag.solved_m1)}, {_fmt(diag.solved_m2)})"
         f"  as-printed closed form ({_fmt(diag.printed_m1)}, {_fmt(diag.printed_m2)})",
     ]
-    return _emit(args.format, doc, header, rows, footer, after=after,
+    return _emit(args, body, header, rows, footer, after=after,
                  csv_footer=dict(footer, m1_opt=m1s, m2_opt=m2s))
 
 
 def _cmd_pre(args) -> int:
-    pop, repaired = _load_summary(args.input, args.policy)
-    m = moment_set(pop, _parse_design(args.design))
+    m, footer = _theory_input(args)
     report = pre_table(m)
-    footer = _provenance({"policy": args.policy}, {
-        "repaired_pairs": repaired,
-        "m1_opt": _fmt(report.m1_opt),
-        "m2_opt": _fmt(report.m2_opt),
-    })
-    doc = {"command": "pre", **asdict(report), "provenance": footer}
+    footer.update(m1_opt=_fmt(report.m1_opt), m2_opt=_fmt(report.m2_opt))
     header = ["estimator", "mse", "pre", "rank", "delta_vs_tuned", "warning"]
     rows = [
         [r.estimator, r.mse, r.pre, r.rank, r.delta_vs_tuned, r.warning]
         for r in report.rows
     ]
-    return _emit(args.format, doc, header, rows, footer)
+    return _emit(args, asdict(report), header, rows, footer)
 
 
 def _load_simulation_population(path: str) -> tuple[Microdata, tuple[str, ...]]:
@@ -235,18 +217,11 @@ def _cmd_simulate(args) -> int:
         estimators = tuple(e.strip() for e in args.estimators.split(","))
     report = run_simulation(
         micro, design, R=args.R, master_seed=args.seed,
-        estimators=estimators, m1=args.m1 if args.m1 is not None else 1.0,
-        m2=args.m2 if args.m2 is not None else 1.0, workers=args.workers,
+        estimators=estimators, m1=args.m1, m2=args.m2, workers=args.workers,
     )
-    footer = _provenance({"numpy": np.__version__}, {
-        "seed": report.seed, "R": report.R, "generator": report.generator,
-        "fingerprint": report.fingerprint,
-    })
-    doc = {
-        "command": "simulate",
-        "report": asdict(report),
-        "pre_notes": list(notes),
-        "provenance": footer,
+    footer = {
+        "numpy": np.__version__, "formulas": _FORMULAS, "seed": report.seed,
+        "R": report.R, "generator": report.generator, "fingerprint": report.fingerprint,
     }
     header = ["estimator", "m1", "m2", "emp_mean", "emp_bias", "emp_mse",
               "theory_mse", "rel_gap", "nonfinite"]
@@ -257,8 +232,8 @@ def _cmd_simulate(args) -> int:
     ]
     after = [f"true mean: {_fmt(report.ybar)}  design: {','.join(map(str, report.design))}"]
     after += [f"note: {note}" for note in report.notes]
-    return _emit(args.format, doc, header, rows, footer,
-                 before=[f"note: {note}" for note in notes], after=after)
+    return _emit(args, {"report": asdict(report), "pre_notes": list(notes)}, header, rows,
+                 footer, before=[f"note: {note}" for note in notes], after=after)
 
 
 def _cmd_reproduce(args) -> int:
@@ -267,8 +242,7 @@ def _cmd_reproduce(args) -> int:
         "policy": "prefer-correlation (headline) and prefer-covariance (side column)",
         "formulas": _FORMULAS,
     }
-    doc = {
-        "command": "reproduce-kk2009",
+    body = {
         "rows": [asdict(r) for r in report.rows],
         "repairs_correlation": [asdict(e) for e in report.repairs_correlation.repaired],
         "repairs_covariance": [asdict(e) for e in report.repairs_covariance.repaired],
@@ -276,7 +250,6 @@ def _cmd_reproduce(args) -> int:
         "computed_ranking": list(report.computed_ranking),
         "m1_opt": report.m1_opt, "m2_opt": report.m2_opt,
         "notes": list(report.notes),
-        "provenance": footer,
     }
     header = ["estimator", "published", "computed", "delta", "pub_rank",
               "rank", "flag", "pre_covariance", "note"]
@@ -306,7 +279,7 @@ def _cmd_reproduce(args) -> int:
             tail = f" ({e.note})" if e.note else ""
             after.append(f"  stratum {e.h} {e.pair}: {what}, discrepancy {_fmt(e.discrepancy)}{tail}")
     after += [f"note: {note}" for note in report.notes]
-    return _emit(args.format, doc, header, rows, footer,
+    return _emit(args, body, header, rows, footer,
                  before=["PRE reproduction, embedded six-stratum dataset"], after=after)
 
 
@@ -344,8 +317,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--R", type=int, default=1000, help="replication count")
     p.add_argument("--seed", type=int, default=0, help="master seed")
-    p.add_argument("--m1", type=float, default=None, help="fixed tuning for exp_regression")
-    p.add_argument("--m2", type=float, default=None)
+    p.add_argument("--m1", type=float, default=1.0, help="fixed tuning for exp_regression")
+    p.add_argument("--m2", type=float, default=1.0)
     p.add_argument("--workers", type=int, default=1,
                    help="accepted for compatibility, no effect: replicates run "
                         "serially in fixed blocks")

@@ -120,6 +120,10 @@ def test_mse_tuning_flags_must_pair(summary_file, capsys):
     assert main(["mse", "--input", summary_file, "--design", DESIGN,
                  "--m1", "1"]) == 2
     assert "must be given together" in capsys.readouterr().err
+    # checked before the design's moments, so a census cannot exit 3 first
+    census = ",".join(str(s.N) for s in embedded_kk2009()[0].strata)
+    assert main(["mse", "--input", summary_file, "--design", census, "--m1", "1"]) == 2
+    assert "must be given together" in capsys.readouterr().err
 
 
 def test_pre_command_table(summary_file, capsys):
@@ -466,6 +470,22 @@ def test_census_mse_names_the_census_design(summary_file, capsys):
     assert main(["mse", "--input", summary_file, "--design", census]) == 3
     err = capsys.readouterr().err
     assert "census design" in err and "no auxiliary variation" not in err
+
+
+def test_census_mse_with_fixed_tuning_leaves_the_optimum_out(summary_file, capsys):
+    census = ",".join(str(s.N) for s in embedded_kk2009()[0].strata)
+    argv = ["mse", "--input", summary_file, "--design", census, "--m1", "1", "--m2", "1"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert "optimal tuning: m1* = -, m2* = -" in out
+    assert main(argv + ["--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["optimal"] == {"m1": None, "m2": None}
+    assert [r["estimator"] for r in doc["rows"]] == list(strataux.ESTIMATOR_ORDER)
+    assert all(r["mse"] == 0.0 for r in doc["rows"])
+    assert (doc["rows"][-1]["m1"], doc["rows"][-1]["m2"]) == (1.0, 1.0)
+    assert main(argv + ["--format", "csv"]) == 0
+    assert "# m1_opt: -\n# m2_opt: -\n" in capsys.readouterr().out
 
 
 def test_exit_code_4_on_strict_policy(summary_file, capsys):

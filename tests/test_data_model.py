@@ -382,6 +382,8 @@ def test_sample_shape_validation():
     design = SampleDesign(n=(2,))
     with pytest.raises(InputError, match="sample has 1 observations"):
         StratifiedSample(design=design, observations=(((1.0, 2.0, 3.0),),))
+    with pytest.raises(InputError, match="sample strata do not match the design"):
+        StratifiedSample(design=design, observations=())
     with pytest.raises(InputError, match="labels and groups"):
         Microdata(labels=("A",), arrays=())
     # a non-numeric value or a ragged stratum, through both constructors
@@ -420,6 +422,8 @@ def test_parse_summary_rejects_malformed_documents():
         parse_summary("[1, 2]")
     with pytest.raises(InputError, match="unknown top-level"):
         parse_summary('{"strata": [], "extra": 1}')
+    with pytest.raises(InputError, match="stratum entry 1 must be an object"):
+        parse_summary('{"strata": [1]}')
     good = summary_to_json(PopulationSummary(strata=(_stratum(),)))
     doc = json.loads(good)
     doc["strata"][0]["typo"] = 1.0
@@ -514,6 +518,13 @@ def test_prefer_covariance_derives_correlations():
     again, rerun = reconcile_covariances(fixed, "prefer-covariance")
     assert again == fixed
     assert rerun.repaired == ()
+
+    # a zero SD leaves the x pairs' correlations underivable: kept and noted
+    flat = dataclasses.replace(pop.strata[0], s_x=0.0, s_yx=0.0, s_xz=0.0)
+    kept, report = reconcile_covariances(PopulationSummary(strata=(flat,)), "prefer-covariance")
+    notes = {e.pair: e.note for e in report.entries}
+    assert notes["yx"] == notes["xz"] == "zero SD; correlation not derivable, kept as given"
+    assert kept.strata[0] == dataclasses.replace(flat, rho_yz=flat.s_yz / (flat.s_y * flat.s_z))
 
 
 def test_strict_policy_names_every_offender():

@@ -81,6 +81,8 @@ def test_pre_table_ranks_and_deltas(m_rho):
     assert tuned.rank == 1
     assert tuned.delta_vs_tuned == 0.0
     assert report.row("exp_product_xz").rank == 9
+    with pytest.raises(KeyError):
+        report.row("exp_regression_opt")
     best = min_mse_tp(m_rho).mse
     for row in report.rows:
         assert row.delta_vs_tuned == row.mse - best

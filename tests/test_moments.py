@@ -138,6 +138,13 @@ def test_zero_auxiliary_variation_has_no_slope():
     )
     with pytest.raises(NumericalError, match="combined slope b1 undefined"):
         moment_set(PopulationSummary(strata=(flat,)), SampleDesign(n=(5,)))
+    flat_z = StratumSummary(
+        h=1, N=50, ybar=5.0, xbar=8.0, zbar=6.0,
+        s_y=1.0, s_x=2.0, s_z=0.0, s_yx=0.5, s_yz=0.0, s_xz=0.0,
+        rho_yx=0.25, rho_yz=0.0, rho_xz=0.0,
+    )
+    with pytest.raises(NumericalError, match="combined slope b2 undefined"):
+        moment_set(PopulationSummary(strata=(flat_z,)), SampleDesign(n=(5,)))
 
 
 def test_cauchy_schwarz_violation_warns_without_failing():

@@ -477,6 +477,8 @@ def test_estimator_subset_controls_rows(small_population):
     report = run_simulation(micro, design, R=5, master_seed=1,
                             estimators=("ratio", "mean"))
     assert [r.estimator for r in report.rows] == ["ratio", "mean"]
+    with pytest.raises(KeyError):
+        report.row("regression")
     report = run_simulation(micro, design, R=5, master_seed=1,
                             estimators=("exp_regression",))
     assert [r.estimator for r in report.rows] == [
