@@ -7,94 +7,13 @@ Monte Carlo harness.
 """
 from importlib import import_module
 
-from .data_model import (
-    InputError,
-    Microdata,
-    NumericalError,
-    PopulationSummary,
-    ReconciliationEntry,
-    ReconciliationReport,
-    SampleDesign,
-    StratifiedSample,
-    StratumSummary,
-    ValidationError,
-    embedded_kk2009,
-    parse_microdata,
-    parse_summary,
-    reconcile_covariances,
-    summarize,
-    summary_to_json,
-)
-from .efficiency import (
-    PreReport,
-    PreRow,
-    ReproduceReport,
-    dominance_report,
-    pre_table,
-    reproduce_kk2009,
-)
-from .moments import MomentSet, design_factors, moment_set
-from .mse_theory import (
-    ESTIMATOR_ORDER,
-    MseBreakdown,
-    TpDiagnostics,
-    bias_tp,
-    min_mse_tp,
-    mse_classic,
-    mse_tp,
-    optimal_m,
-    tp_diagnostics,
-    variance_mean,
-)
+from . import data_model, efficiency, moments, mse_theory
+from .data_model import *
+from .efficiency import *
+from .moments import *
+from .mse_theory import *
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ESTIMATOR_ORDER",
-    "GeneratorStratum",
-    "InputError",
-    "Microdata",
-    "MomentSet",
-    "MseBreakdown",
-    "NumericalError",
-    "PopulationConfig",
-    "PopulationSummary",
-    "PreReport",
-    "PreRow",
-    "ReconciliationEntry",
-    "ReconciliationReport",
-    "ReproduceReport",
-    "SampleDesign",
-    "SimulationReport",
-    "StratifiedSample",
-    "StratumSummary",
-    "TpDiagnostics",
-    "ValidationError",
-    "bias_tp",
-    "design_factors",
-    "dominance_report",
-    "draw_sample",
-    "embedded_kk2009",
-    "generate_population",
-    "min_mse_tp",
-    "moment_set",
-    "mse_classic",
-    "mse_tp",
-    "optimal_m",
-    "parse_generator_config",
-    "parse_microdata",
-    "parse_summary",
-    "point_estimate",
-    "population_fingerprint",
-    "pre_table",
-    "reconcile_covariances",
-    "reproduce_kk2009",
-    "run_simulation",
-    "summarize",
-    "summary_to_json",
-    "tp_diagnostics",
-    "variance_mean",
-]
 
 # Names whose submodule imports numpy, looked up there on every access (PEP 562):
 # the theory names load without numpy, and a rebinding in the submodule shows here.
@@ -102,6 +21,8 @@ _LAZY = {"point_estimate": "estimators", **dict.fromkeys((
     "GeneratorStratum", "PopulationConfig", "SimulationReport", "draw_sample",
     "generate_population", "parse_generator_config", "population_fingerprint",
     "run_simulation"), "monte_carlo")}
+
+__all__ = [*data_model.__all__, *efficiency.__all__, *moments.__all__, *mse_theory.__all__, *_LAZY]
 
 
 def __getattr__(name: str):

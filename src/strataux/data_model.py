@@ -10,6 +10,13 @@ when they disagree.
 """
 from __future__ import annotations
 
+__all__ = [
+    "InputError", "Microdata", "NumericalError", "PopulationSummary", "ReconciliationEntry",
+    "ReconciliationReport", "SampleDesign", "StratifiedSample", "StratumSummary",
+    "ValidationError", "embedded_kk2009", "parse_microdata", "parse_summary",
+    "reconcile_covariances", "summarize", "summary_to_json",
+]
+
 import csv
 import io
 import json

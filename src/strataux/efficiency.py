@@ -8,6 +8,10 @@ values published for that dataset.
 """
 from __future__ import annotations
 
+__all__ = [
+    "PreReport", "PreRow", "ReproduceReport", "dominance_report", "pre_table", "reproduce_kk2009",
+]
+
 from dataclasses import dataclass
 from typing import Optional
 

@@ -9,6 +9,8 @@ consumes, so they are bundled into one value type.
 """
 from __future__ import annotations
 
+__all__ = ["MomentSet", "design_factors", "moment_set"]
+
 import math
 from dataclasses import dataclass
 from typing import Optional

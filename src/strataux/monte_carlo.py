@@ -43,7 +43,7 @@ from .data_model import (
 )
 from .estimators import estimate_rows, sample_statistics
 from .moments import moment_set
-from .mse_theory import ESTIMATOR_ORDER, mse_classic, mse_tp, optimal_m
+from .mse_theory import ESTIMATOR_ORDER, min_mse_tp, mse_classic, mse_tp
 
 _MASK64 = (1 << 64) - 1
 _POP_STREAM_BASE = 1 << 63
@@ -326,8 +326,8 @@ def run_simulation(
                 notes.append("census design: exp_regression_opt left out, "
                              "the tuning optimum is undefined")
                 continue
-            m1s, m2s = optimal_m(mset)
-            row_plan.append(("exp_regression_opt", e, m1s, m2s, mse_tp(mset, m1s, m2s).mse))
+            tuned = min_mse_tp(mset)
+            row_plan.append(("exp_regression_opt", e, tuned.m1, tuned.m2, tuned.mse))
         else:
             row_plan.append((e, e, None, None, mse_classic(e, mset)))
 

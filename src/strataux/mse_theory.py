@@ -21,6 +21,11 @@ of the quadratic.
 """
 from __future__ import annotations
 
+__all__ = [
+    "ESTIMATOR_ORDER", "MseBreakdown", "TpDiagnostics", "bias_tp", "min_mse_tp", "mse_classic",
+    "mse_tp", "optimal_m", "tp_diagnostics", "variance_mean",
+]
+
 import math
 from dataclasses import dataclass
 from typing import Optional

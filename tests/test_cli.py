@@ -593,3 +593,10 @@ def test_package_namespace_resolves_lazy_names_on_every_access(monkeypatch):
     assert strataux.run_simulation is sentinel
     with pytest.raises(AttributeError, match="no attribute 'not_a_name'"):
         strataux.not_a_name
+
+
+def test_package_names_have_one_owner():
+    # a name in two submodules' __all__, or also in _LAZY, would be bound by import order
+    owned = [*strataux.data_model.__all__, *strataux.efficiency.__all__,
+             *strataux.moments.__all__, *strataux.mse_theory.__all__, *strataux._LAZY]
+    assert sorted(strataux.__all__) == sorted(set(owned)) == sorted(owned)

@@ -70,6 +70,9 @@ def test_parse_microdata_errors_name_the_spot():
         parse_microdata("stratum,y,x,z\nA,one,2,3\nA,4,5,6\n")
     with pytest.raises(InputError, match="non-finite value in column y"):
         parse_microdata("stratum,y,x,z\nA,nan,2,3\nA,4,5,6\n")
+    # the blank record counts as a line, though _check_records skips it
+    with pytest.raises(InputError, match="line 4: non-numeric value 'x' in column y"):
+        parse_microdata("stratum,y,x,z\nA,1,2,3\n\nA,x,2,3\n")
     with pytest.raises(InputError, match="no records"):
         parse_microdata("stratum,y,x,z\n")
     with pytest.raises(InputError, match="need at least 2"):

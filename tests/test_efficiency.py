@@ -112,6 +112,25 @@ def test_census_pre_table_is_undefined():
     assert report.m1_opt is None and report.m2_opt is None
 
 
+def test_zero_mse_row_has_no_pre_and_no_rank():
+    # y exactly linear in x within each stratum, with different slopes, and
+    # z unrelated: the correlation-based regression residual is exactly 0,
+    # while the tuned quadratic, on the pooled slope, stays above it
+    strata = tuple(
+        StratumSummary(h=h, N=N, ybar=ybar, xbar=xbar, zbar=30.0, s_y=s_y, s_x=s_x, s_z=3.0,
+                       s_yx=s_y * s_x, s_yz=0.0, s_xz=0.0, rho_yx=1.0, rho_yz=0.0, rho_xz=0.0)
+        for h, N, ybar, xbar, s_y, s_x in ((1, 20, 10.0, 8.0, 2.0, 4.0), (2, 30, 12.0, 9.0, 5.0, 2.0))
+    )
+    m = moment_set(PopulationSummary(strata=strata), SampleDesign(n=(5, 6)))
+    report = pre_table(m)
+    reg = report.row("regression")
+    assert reg.mse == 0.0 and reg.pre is None and reg.rank is None
+    assert reg.warning == "PRE undefined: zero MSE"
+    dom = {d.estimator: d for d in report.dominance}["regression"]
+    assert dom.delta < 0.0 and not dom.satisfied and "residual" in dom.note
+    assert (report.m1_opt, report.m2_opt) == (0.0, 0.0)
+
+
 def test_dominance_on_embedded_dataset(m_rho):
     rows = dominance_report(m_rho)
     assert [r.estimator for r in rows] == [
