@@ -385,29 +385,45 @@ def summarize(micro: Microdata) -> PopulationSummary:
     (micro.summary), whose read-only arrays cannot make them stale.
 
     Covariance and correlation pairs are consistent by construction, so the
-    result needs no reconciliation. Compensated summation is used so that
-    recomputing summaries from the same finite data is exact: deviations and
-    their products are formed elementwise in numpy and summed with
-    math.fsum, the same IEEE operations as a pure-Python loop, so the
-    summaries are bit-identical to it.
+    result needs no reconciliation. Means, deviations and their products are
+    a pure-Python two-pass loop's IEEE operations, done elementwise in numpy,
+    and every sum has math.fsum's correctly rounded bits (_exact_sum), so the
+    summaries are bit-identical to that loop.
     """
     return micro.summary
 
 
+def _exact_sum(a) -> float:
+    """math.fsum(a.tolist()) of a 1-D float64 array, bit for bit, by error-free
+    extraction (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31(1), 2008): for
+    sigma = 2^k >= 2n*max|a|, q = (sigma + a) - sigma and a - q are exact, and
+    q.sum() is exact in any order (multiples of ulp(sigma)/2, below sigma)."""
+    parts = []
+    while len(a) > 64:
+        top = float(abs(a).max())
+        if not 2.0 ** -960 < top < 2.0 ** 960:  # inf, nan or subnormal tails: fsum
+            break
+        sigma = math.ldexp(1.0, math.frexp(len(a) * top)[1] + 1)
+        q = (sigma + a) - sigma
+        parts.append(float(q.sum()))
+        a = a - q
+        a = a[a != 0.0]
+    return math.fsum(parts + a.tolist())
+
+
 def _summarize(micro: Microdata) -> PopulationSummary:
     import numpy as np
-    i, j = np.array(_PRODUCTS).T
     strata = []
     for idx, (label, vals) in enumerate(zip(micro.labels, micro.arrays), start=1):
         N = len(vals)
-        for name, big in zip(("y", "x", "z"), np.abs(vals).max(axis=0).tolist()):
+        cols = vals.T.copy()  # contiguous rows: reductions along a stride are slow
+        for name, big in zip(("y", "x", "z"), np.abs(cols).max(axis=1).tolist()):
             if big > MAX_MAGNITUDE:
                 raise InputError(
                     f"stratum {label!r}: a value of {name} is beyond +-{MAX_MAGNITUDE:g}")
-        cols = vals.T
-        means = [math.fsum(c) / N for c in cols.tolist()]
+        means = [_exact_sum(c) / N for c in cols]
         devs = cols - np.array(means)[:, None]
-        sums = [math.fsum(p) / (N - 1) for p in (devs[i] * devs[j]).tolist()]
+        sums = [_exact_sum(devs[i] * devs[j]) / (N - 1) for i, j in _PRODUCTS]
         sd = [math.sqrt(v) for v in sums[:3]]
         for name, s in zip(("y", "x", "z"), sd):
             if s == 0.0:

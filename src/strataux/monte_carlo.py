@@ -36,6 +36,7 @@ from .data_model import (
     SampleDesign,
     StratifiedSample,
     ValidationError,
+    _exact_sum,
     check_record,
     decode_json,
     document_entries,
@@ -357,8 +358,8 @@ def run_simulation(
         if bad > NONFINITE_LIMIT * R:  # the run fails, so the row's sums go unread
             failures.append(f"{label}: {bad}/{R} non-finite")
             continue
-        emp_mean = math.fsum(vals.tolist()) / len(vals)
-        emp_mse = math.fsum(np.square(vals - ybar).tolist()) / len(vals)
+        emp_mean = _exact_sum(vals) / len(vals)
+        emp_mse = _exact_sum(np.square(vals - ybar)) / len(vals)
         rel_gap = (emp_mse - theory) / theory if theory != 0.0 else math.nan
         rows.append(
             SimRow(

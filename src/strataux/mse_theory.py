@@ -17,7 +17,8 @@ squared-error form itself carries, and the matching printed closed form
 for the optimal (m1, m2) contains self-cancelling terms; both are
 reproduced verbatim in tp_diagnostics for comparison, never used for
 results. The optimum is obtained by solving the exact stationarity system
-of the quadratic.
+of the quadratic. Its minimum, Ybar^2 (v200 - q'V^-1 q) with q = (v110, v101)
+and V = [[v020, v011], [v011, v002]], does not depend on b1 or b2.
 """
 from __future__ import annotations
 
@@ -183,10 +184,12 @@ def optimal_m(m: MomentSet) -> tuple[float, float]:
 
     In the shifted coordinates the stationary point solves
     a1*v020 + a2*v011 = v110 and a1*v011 + a2*v002 = v101; mapping back
-    gives m_i* = 2*(a_i* - D_i). Requires the auxiliary moment matrix to
-    be positive definite: determinant at or below SINGULARITY_TOL times
-    its natural scale (collinear or degenerate auxiliaries), or negative
-    (an indefinite quadratic with no interior minimum), is an error.
+    gives m_i* = 2*(a_i* - D_i). The slopes b1, b2 move the optimum but not
+    the tuned minimum, Ybar^2*(v200 - a1*v110 - a2*v101). Requires the
+    auxiliary moment matrix to be positive definite: determinant at or below
+    SINGULARITY_TOL times its natural scale (collinear or degenerate
+    auxiliaries), or negative (an indefinite quadratic with no interior
+    minimum), is an error.
     """
     if m.census:
         raise NumericalError("moment system degenerate: census design (every f_h = 0), "

@@ -306,6 +306,40 @@ def test_summarize_is_bit_identical_to_plain_fsum():
                 assert getattr(s, f"rho_{pair}") == max(-1.0, min(1.0, cov / (sd[i] * sd[j])))
 
 
+def _two_pass_reference(group):
+    # the textbook two-pass formulas on Python floats, fsum sums
+    N = len(group)
+    cols = list(zip(*group))
+    means = [math.fsum(c) / N for c in cols]
+    devs = [[v - m for v in c] for c, m in zip(cols, means)]
+    sums = [math.fsum(a * b for a, b in zip(devs[i], devs[j])) / (N - 1)
+            for i, j in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))]
+    return means, [math.sqrt(v) for v in sums[:3]], sums[3:]
+
+
+def test_summarize_is_bit_identical_to_plain_fsum_on_large_strata():
+    # strata of 65-5000 records, where the sums leave Python floats; the
+    # last stratum is symmetric about its mean, so every cross-product sum
+    # cancels to exactly zero (repr tells 0.0 from -0.0)
+    rng = np.random.default_rng(16)
+    groups = []
+    for N in (65, 66, 200, 1999, 5000):
+        scale = 10.0 ** rng.integers(-3, 7)
+        groups.append(rng.normal(scale, scale / rng.uniform(1, 50), (N, 3)))
+    dev = rng.integers(1, 1000, (300, 3)) / 64.0
+    signs = np.array([[1, 1, 1], [1, -1, -1], [-1, 1, -1], [-1, -1, 1]])
+    groups.append(100.0 + (signs[:, None, :] * dev).reshape(-1, 3))
+    micro = Microdata(labels=tuple(map(str, range(len(groups)))), arrays=tuple(groups))
+    strata = summarize(micro).strata
+    assert (strata[-1].s_yx, strata[-1].s_yz, strata[-1].s_xz) == (0.0, 0.0, 0.0)
+    for s, group in zip(strata, groups):
+        means, sd, cov = _two_pass_reference(group.tolist())
+        got = [s.ybar, s.xbar, s.zbar, s.s_y, s.s_x, s.s_z, s.s_yx, s.s_yz, s.s_xz]
+        assert list(map(repr, got)) == list(map(repr, means + sd + cov)), s.N
+        for pair, (i, j), c in zip(("yx", "yz", "xz"), ((0, 1), (0, 2), (1, 2)), cov):
+            assert getattr(s, f"rho_{pair}") == max(-1.0, min(1.0, c / (sd[i] * sd[j])))
+
+
 def test_summarize_rejects_constant_columns():
     text = "stratum,y,x,z\nA,1,7,3\nA,2,7,5\n"
     with pytest.raises(InputError, match="zero variance in x"):

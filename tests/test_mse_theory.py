@@ -2,6 +2,7 @@
 import dataclasses
 import math
 import random
+from pathlib import Path
 
 import pytest
 
@@ -18,6 +19,7 @@ from strataux import (
     mse_tp,
     optimal_m,
     parse_microdata,
+    parse_summary,
     reconcile_covariances,
     summarize,
     tp_diagnostics,
@@ -297,3 +299,37 @@ def test_scale_equivariance_of_mse():
         b = optimal_m(scaled)
         assert b[0] == pytest.approx(a[0], rel=1e-9)
         assert b[1] == pytest.approx(a[1], rel=1e-9)
+
+
+def _slope_free_minimum(m):
+    # Ybar^2 (v200 - q'V^-1 q), q = (v110, v101), V the auxiliary moment matrix
+    det = m.v020 * m.v002 - m.v011 * m.v011
+    quad = (m.v110 * m.v110 * m.v002 - 2.0 * m.v110 * m.v101 * m.v011
+            + m.v101 * m.v101 * m.v020) / det
+    return m.ybar ** 2 * (m.v200 - quad)
+
+
+def test_tuned_minimum_does_not_depend_on_the_slopes():
+    # The slopes only shift the quadratic's centre; its minimum stays put.
+    # The closed form itself cancels (v200 against q'V^-1 q), so agreement
+    # is a relative 1e-12, not a few ulp.
+    data = Path(__file__).resolve().parents[1] / "bench" / "data"
+    pops = [embedded_kk2009()[0]] + [
+        parse_summary((data / name).read_text())
+        for name in ("kk2009_summary.json", "strata64_summary.json")]
+    rnd = random.Random(16)
+    checked = 0
+    for pop in pops:
+        fixed, _ = reconcile_covariances(pop, "prefer-correlation")
+        designs = [SampleDesign(n=tuple(rnd.randint(2, max(2, s.N // 3)) for s in fixed.strata))
+                   for _ in range(6)]
+        if pop is pops[0]:
+            designs.append(embedded_kk2009()[1])
+        for design in designs:
+            m = moment_set(fixed, design)
+            want = _slope_free_minimum(m)
+            for b1, b2 in ((m.b1, m.b2), (0.0, 0.0), (-3.5 * m.b1 - 1.0, 7.25 * m.b2 + 2.0)):
+                moved = dataclasses.replace(m, b1=b1, b2=b2)
+                assert min_mse_tp(moved).mse == pytest.approx(want, rel=1e-12), (design, b1, b2)
+                checked += 1
+    assert checked == 3 * 19

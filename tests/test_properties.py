@@ -5,19 +5,24 @@ CSVs, from well formed to broken (NaN, Infinity, huge integers, wrong
 types, garbage cells), with random designs and formats. Every run must
 exit 0, 2, 3 or 4, say why on stderr when it fails, and a successful
 --format json run must print strict JSON: no NaN or Infinity constants.
-Runs are derandomized so the suite is the same on every run.
+The exact summation behind summarize and the simulator's reduction must
+give math.fsum's bits on any float64 array. Runs are derandomized so the
+suite is the same on every run.
 """
 import contextlib
 import io
 import json
 import math
+import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from strataux import embedded_kk2009, summary_to_json
 from strataux.cli import main
+from strataux.data_model import _exact_sum
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                              database=None)
@@ -187,3 +192,62 @@ def test_microdata_csvs_end_in_a_known_exit_code(workdir, text, command, fmt, da
     if command == "simulate":
         argv += ["--R", "7"]
     _check(argv, fmt)
+
+
+@st.composite
+def float_arrays(draw):
+    """1-D float64 arrays built to trip an exact sum: exponents spread up to
+    +-300, exact x, -x cancellations, half-ulp ties, subnormals, values
+    beyond 2^960, inf and nan, all -0.0, one-signed data, products of
+    deviations from the mean; sometimes a strided row view."""
+    n = draw(st.one_of(st.integers(0, 80), st.integers(0, 3000)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    spread = draw(st.sampled_from([0, 4, 40, 300]))
+    a = rng.standard_normal(n) * np.exp2(rng.integers(-spread, spread + 1, n))
+    kind = draw(st.integers(0, 7))
+    if kind == 1:  # 2^53 plus ones and halves: odd totals fall half an ulp between floats
+        a = np.ones(n)
+        a[:1] = 2.0 ** 53
+        a[1::2] = -1.0 if draw(st.booleans()) else 0.5
+    elif kind == 2:  # subnormal tails under normal values
+        a[::3] = rng.integers(-5, 6, len(a[::3])) * 5e-324
+    elif kind == 3:  # beyond 2^960, where the sum must go to fsum
+        a = rng.standard_normal(n) * 2.0 ** draw(st.sampled_from([961, 1000, 1016, 1020]))
+        if draw(st.booleans()):
+            a /= max(n, 1)
+    elif kind == 4 and n:
+        a[rng.integers(n)] = draw(st.sampled_from([math.inf, -math.inf, math.nan]))
+        if draw(st.booleans()):
+            a[rng.integers(n)] = -math.inf
+    elif kind == 5:
+        a = np.full(n, -0.0)
+    elif kind == 6:  # one sign, one binade: partial sums near n times the largest
+        a = rng.uniform(1.0, 2.0, n) * 2.0 ** draw(st.integers(-300, 300))
+        a *= draw(st.sampled_from([1.0, -1.0]))
+    elif kind == 7:  # as summarize forms its squares and cross products
+        d = a + draw(st.floats(-1e6, 1e6))
+        d -= d.mean() if n else 0.0
+        a = d * (d if draw(st.booleans()) else rng.permutation(d))
+    if draw(st.integers(0, 2)) == 0:  # exact x, -x pairs around what is left
+        half = a[: len(a) // 2]
+        a = np.concatenate([half, -half, a[2 * len(half):]])
+        rng.shuffle(a)
+    if draw(st.booleans()):  # a row of a (n, 3) array, stride 24 bytes
+        rows = np.zeros((len(a), 3))
+        rows[:, 0] = a
+        a = rows.T[0]
+    return a
+
+
+def _outcome(total, a):
+    try:
+        s = total(a)
+    except (ValueError, OverflowError) as e:
+        return type(e)
+    return "nan" if math.isnan(s) else struct.pack("<d", s)  # keeps the sign of zero
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(a=float_arrays())
+def test_exact_sum_is_bitwise_fsum(a):
+    assert _outcome(_exact_sum, a) == _outcome(lambda v: math.fsum(v.tolist()), a)
