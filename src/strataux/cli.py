@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, astuple, fields
 from typing import Optional, Sequence
 
 from .data_model import (
@@ -31,9 +31,9 @@ from .data_model import (
     reconcile_covariances,
     summarize,
 )
-from .efficiency import pre_table, reproduce_kk2009
+from .efficiency import PreRow, pre_table, reproduce_kk2009
 from .moments import MomentSet, moment_set
-from .mse_theory import ESTIMATOR_ORDER, FAMILY, classic_breakdown, min_mse_tp, mse_tp, tp_diagnostics
+from .mse_theory import ESTIMATOR_ORDER, FAMILY, mse_row, optimal_m, tp_diagnostics
 
 _FORMATS = ("text", "csv", "json")
 _POLICIES = ("prefer-correlation", "prefer-covariance", "strict")
@@ -60,6 +60,11 @@ def _table(header: list[str], rows: list[list[str]]) -> str:
     for row in rows:
         lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
     return "\n".join(lines)
+
+
+def _field_table(row_type, rows) -> tuple[list[str], list[tuple]]:
+    """A table of dataclass rows: row_type's fields in order, as in asdict."""
+    return [f.name for f in fields(row_type)], [astuple(r) for r in rows]
 
 
 def _json_safe(obj):
@@ -147,13 +152,12 @@ def _cmd_mse(args) -> int:
     if (args.m1 is None) != (args.m2 is None):
         raise InputError("--m1 and --m2 must be given together")
     m, footer = _theory_input(args)
-    breakdowns = [classic_breakdown(e, m) for e in FAMILY]
-    # a census has no optimum (min_mse_tp raises), but every MSE there is exactly 0
-    tuned = None if m.census and args.m1 is not None else min_mse_tp(m)
-    m1s, m2s = (tuned.m1, tuned.m2) if tuned else (None, None)
-    breakdowns += [tuned] if tuned else []
-    if args.m1 is not None:
-        breakdowns.append(mse_tp(m, args.m1, args.m2))
+    # a census has no optimum (optimal_m raises), but every MSE there is exactly 0
+    tunings = [] if m.census and args.m1 is not None else [optimal_m(m)]
+    m1s, m2s = tunings[0] if tunings else (None, None)
+    tunings += [(args.m1, args.m2)] if args.m1 is not None else []
+    breakdowns = [mse_row(m, e) for e in FAMILY]
+    breakdowns += [mse_row(m, "exp_regression", *t) for t in tunings]
     diag = tp_diagnostics(m, breakdowns[-1].m1, breakdowns[-1].m2)
     body = {
         "rows": [asdict(b) for b in breakdowns],
@@ -181,12 +185,7 @@ def _cmd_pre(args) -> int:
     m, footer = _theory_input(args)
     report = pre_table(m)
     footer.update(m1_opt=_fmt(report.m1_opt), m2_opt=_fmt(report.m2_opt))
-    header = ["estimator", "mse", "pre", "rank", "delta_vs_tuned", "warning"]
-    rows = [
-        [r.estimator, r.mse, r.pre, r.rank, r.delta_vs_tuned, r.warning]
-        for r in report.rows
-    ]
-    return _emit(args, asdict(report), header, rows, footer)
+    return _emit(args, asdict(report), *_field_table(PreRow, report.rows), footer)
 
 
 def _load_simulation_population(path: str) -> tuple[Microdata, tuple[str, ...]]:
@@ -209,7 +208,7 @@ def _load_simulation_population(path: str) -> tuple[Microdata, tuple[str, ...]]:
 
 def _cmd_simulate(args) -> int:
     import numpy as np  # imported here, so the theory commands start without numpy
-    from .monte_carlo import run_simulation
+    from .monte_carlo import SimRow, run_simulation
     micro, notes = _load_simulation_population(args.input)
     design = _parse_design(args.design)
     estimators = None
@@ -223,17 +222,11 @@ def _cmd_simulate(args) -> int:
         "numpy": np.__version__, "formulas": _FORMULAS, "seed": report.seed,
         "R": report.R, "generator": report.generator, "fingerprint": report.fingerprint,
     }
-    header = ["estimator", "m1", "m2", "emp_mean", "emp_bias", "emp_mse",
-              "theory_mse", "rel_gap", "nonfinite"]
-    rows = [
-        [r.estimator, r.m1, r.m2, r.emp_mean, r.emp_bias, r.emp_mse,
-         r.theory_mse, r.rel_gap, r.nonfinite]
-        for r in report.rows
-    ]
     after = [f"true mean: {_fmt(report.ybar)}  design: {','.join(map(str, report.design))}"]
     after += [f"note: {note}" for note in report.notes]
-    return _emit(args, {"report": asdict(report), "pre_notes": list(notes)}, header, rows,
-                 footer, before=[f"note: {note}" for note in notes], after=after)
+    return _emit(args, {"report": asdict(report), "pre_notes": list(notes)},
+                 *_field_table(SimRow, report.rows), footer,
+                 before=[f"note: {note}" for note in notes], after=after)
 
 
 def _cmd_reproduce(args) -> int:

@@ -35,8 +35,6 @@ from .data_model import (
 from .moments import design_factors
 from .mse_theory import ESTIMATOR_ORDER, FAMILY
 
-_NEEDS_SLOPES = ("regression", "exp_regression")
-
 
 def sample_statistics(
     pop: PopulationSummary, design: SampleDesign, samples: Sequence[np.ndarray]
@@ -45,7 +43,8 @@ def sample_statistics(
 
     samples holds each stratum's (3, B, n_h) array of (y, x, z) values,
     C-ordered so that each mean sums its n_h values pairwise, the same
-    bits for one sample as for any batch; deviations are formed in place.
+    bits for one sample as for any batch. Deviations are formed in place, so
+    callers pass arrays they own: out of place took up to twice as long per block.
     Returns the (3, B) means (ybar_st, xbar_st, zbar_st) and the slopes
     b1, b2 of shape (B,), the plug-in analogues of B1, B2:
     b1 = sum_h W_h^2 f_h s_yxh / sum_h W_h^2 f_h s_xh^2 and b2 likewise
@@ -134,14 +133,15 @@ def point_estimate(
     """
     if estimator not in ESTIMATOR_ORDER:
         raise InputError(f"unknown estimator {estimator!r}")
-    if estimator == "exp_regression":
+    if estimator not in FAMILY:  # exp_regression takes its exponents from the caller
         if m1 is None or m2 is None:
             raise InputError("exp_regression requires finite m1 and m2")
         check_number("m1", m1)
         check_number("m2", m2)
     elif m1 is not None or m2 is not None:
         raise InputError(f"m1/m2 are not parameters of {estimator!r}")
-    if estimator not in _NEEDS_SLOPES and (b1 is not None or b2 is not None):
+    slopes_used = FAMILY.get(estimator, (m1, m2, True))[2]
+    if not slopes_used and (b1 is not None or b2 is not None):
         raise InputError(f"b1/b2 are not parameters of {estimator!r}")
 
     means, *slopes = sample_statistics(
@@ -151,7 +151,7 @@ def point_estimate(
     for i, (given, var) in enumerate(((b1, "x"), (b2, "z"))):
         if given is not None:
             slopes[i] = np.array([given])
-        elif estimator in _NEEDS_SLOPES and math.isnan(slopes[i][0]):
+        elif slopes_used and math.isnan(slopes[i][0]):
             raise NumericalError(
                 f"sample slope b{i + 1} undefined: no {var} variation in the sample")
 

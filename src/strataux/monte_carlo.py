@@ -44,7 +44,7 @@ from .data_model import (
 )
 from .estimators import estimate_rows, sample_statistics
 from .moments import moment_set
-from .mse_theory import ESTIMATOR_ORDER, min_mse_tp, mse_classic, mse_tp
+from .mse_theory import ESTIMATOR_ORDER, mse_row, optimal_m
 
 _MASK64 = (1 << 64) - 1
 _POP_STREAM_BASE = 1 << 63
@@ -319,23 +319,21 @@ def run_simulation(
     ybar, xbar, zbar = mset.ybar, mset.xbar, mset.zbar
     notes = list(mset.warnings)
 
-    row_plan: list[tuple[str, str, Optional[float], Optional[float], float]] = []
+    labels, theory = [], []
     for e in requested:
-        if e == "exp_regression":
-            row_plan.append((e, e, m1, m2, mse_tp(mset, m1, m2).mse))
-            if mset.census:
-                notes.append("census design: exp_regression_opt left out, "
-                             "the tuning optimum is undefined")
-                continue
-            tuned = min_mse_tp(mset)
-            row_plan.append(("exp_regression_opt", e, tuned.m1, tuned.m2, tuned.mse))
-        else:
-            row_plan.append((e, e, None, None, mse_classic(e, mset)))
+        labels.append(e)
+        theory.append(mse_row(mset, e, m1, m2))  # checks m1, m2 before the optimum is solved
+        if e == "exp_regression" and mset.census:
+            notes.append("census design: exp_regression_opt left out, "
+                         "the tuning optimum is undefined")
+        elif e == "exp_regression":
+            labels.append("exp_regression_opt")
+            theory.append(mse_row(mset, e, *optimal_m(mset)))
+    kernel_rows = [(bd.estimator, bd.m1, bd.m2) for bd in theory]
 
-    kernel_rows = [(base, rm1, rm2) for _, base, rm1, rm2, _ in row_plan]
     values = [a.T.copy() for a in micro.arrays]  # (3, N_h) per stratum
     try:
-        out = np.empty((len(row_plan), R))
+        out = np.empty((len(kernel_rows), R))
     except (MemoryError, ValueError):  # beyond memory or numpy's largest array
         raise InputError(f"replication count R = {R} is too large to hold in memory") from None
     block = _BLOCK if mset.census else max(1, min(_BLOCK, _BLOCK_UNITS // design.total))
@@ -352,7 +350,7 @@ def run_simulation(
 
     rows = []
     failures = []
-    for j, (label, _, rm1, rm2, theory) in enumerate(row_plan):
+    for j, (label, bd) in enumerate(zip(labels, theory)):
         vals = out[j][np.isfinite(out[j])]
         bad = R - len(vals)
         if bad > NONFINITE_LIMIT * R:  # the run fails, so the row's sums go unread
@@ -360,12 +358,12 @@ def run_simulation(
             continue
         emp_mean = _exact_sum(vals) / len(vals)
         emp_mse = _exact_sum(np.square(vals - ybar)) / len(vals)
-        rel_gap = (emp_mse - theory) / theory if theory != 0.0 else math.nan
+        rel_gap = (emp_mse - bd.mse) / bd.mse if bd.mse != 0.0 else math.nan
         rows.append(
             SimRow(
-                estimator=label, m1=rm1, m2=rm2,
+                estimator=label, m1=bd.m1, m2=bd.m2,
                 emp_mean=emp_mean, emp_bias=emp_mean - ybar, emp_mse=emp_mse,
-                theory_mse=theory, rel_gap=rel_gap, nonfinite=bad,
+                theory_mse=bd.mse, rel_gap=rel_gap, nonfinite=bad,
             )
         )
     if failures:

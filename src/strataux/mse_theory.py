@@ -1,9 +1,10 @@
 """The estimator table, first-order MSE and bias formulas, optimal tuning,
-and diagnostics; everything here but the table is a function of a
-MomentSet, and nothing here needs numpy. The tuned estimator's MSE is
-an exact quadratic in its two exponent parameters once written in the
-shifted coordinates a1 = m1/2 + D1, a2 = m2/2 + D2, with D1 = b1*Xbar/Ybar
-and D2 = b2*Zbar/Ybar:
+and diagnostics; everything here but the table is a function of a MomentSet,
+and nothing here needs numpy. mse_row is the theory of one (estimator, m1,
+m2) row of the simulator's kernel. The tuned estimator's MSE is an exact
+quadratic in its two exponent parameters once written in the shifted
+coordinates a1 = m1/2 + D1, a2 = m2/2 + D2, with D1 = b1*Xbar/Ybar and
+D2 = b2*Zbar/Ybar:
 
     MSE = Ybar^2 * [v200 + a1^2 v020 + a2^2 v002 + 2 a1 a2 v011
                     - 2 a1 v110 - 2 a2 v101]
@@ -165,6 +166,15 @@ def mse_tp(m: MomentSet, m1: float, m2: float) -> MseBreakdown:
     )
 
 
+def mse_row(m: MomentSet, estimator: str, m1: Optional[float] = None,
+            m2: Optional[float] = None) -> MseBreakdown:
+    """First-order theory of the estimate_rows row (estimator, m1, m2)."""
+    if estimator == "exp_regression":
+        return mse_tp(m, m1, m2)
+    mse = mse_classic(estimator, m)
+    return MseBreakdown(estimator, mse, warning=_NEGATIVE_MSE_WARNING if mse < 0.0 else None)
+
+
 def bias_tp(m: MomentSet, m1: float, m2: float) -> float:
     """First-order design bias of the tuned estimator.
 
@@ -297,13 +307,4 @@ def tp_diagnostics(m: MomentSet, m1: float, m2: float) -> TpDiagnostics:
         printed_mse=printed_mse,
         solved_m1=solved_m1, solved_m2=solved_m2,
         printed_m1=printed_m1, printed_m2=printed_m2,
-    )
-
-
-def classic_breakdown(estimator: str, m: MomentSet) -> MseBreakdown:
-    """MseBreakdown wrapper around mse_classic / variance_mean."""
-    mse = mse_classic(estimator, m)
-    return MseBreakdown(
-        estimator=estimator, mse=mse,
-        warning=_NEGATIVE_MSE_WARNING if mse < 0.0 else None,
     )

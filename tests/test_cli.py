@@ -1,17 +1,20 @@
 """Command-line behavior: formats, determinism, exit codes and what loads numpy."""
+import dataclasses
 import hashlib
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import strataux
 import strataux.mse_theory
-from strataux import embedded_kk2009, monte_carlo, summary_to_json
+from strataux import PreRow, embedded_kk2009, monte_carlo, summary_to_json
 from strataux.cli import main
+from strataux.monte_carlo import SimRow
 
 DESIGN = "31,21,29,38,22,39"
 
@@ -249,6 +252,26 @@ def test_simulate_csv_has_no_timestamps(config_file, capsys):
     assert capsys.readouterr().out == out
 
 
+def _text_header(out):
+    """The column names of a text table: the line above its rule of dashes."""
+    lines = out.splitlines()
+    rule = next(i for i, line in enumerate(lines) if line and set(line) <= {"-", " "})
+    return lines[rule - 1].split()
+
+
+@pytest.mark.parametrize("command, row_type", [("pre", PreRow), ("simulate", SimRow)])
+def test_table_columns_are_the_row_fields(summary_file, config_file, capsys,
+                                          command, row_type):
+    argv = [command, "--input", summary_file, "--design", DESIGN]
+    if command == "simulate":
+        argv = [command, "--input", config_file, "--design", "6,9", "--R", "20"]
+    names = [f.name for f in dataclasses.fields(row_type)]
+    assert main(argv + ["--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[0].split(",") == names
+    assert main(argv + ["--format", "text"]) == 0
+    assert _text_header(capsys.readouterr().out) == names
+
+
 def test_reproduce_command_text(capsys):
     assert main(["reproduce-kk2009"]) == 0
     out = capsys.readouterr().out
@@ -332,6 +355,15 @@ def test_reference_stdout_is_byte_identical(summary_file, capsys, command, fmt):
     assert main(argv + ["--format", fmt]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_STDOUT[command, fmt]
+
+
+def test_golden_digests_agree_with_the_bench_reference():
+    # bench/data/cli_reference.json pins two of the same outputs for the
+    # benchmark; both sets must be re-recorded together
+    path = Path(__file__).resolve().parents[1] / "bench" / "data" / "cli_reference.json"
+    digests = json.loads(path.read_text())["stdout_sha256"]
+    assert digests == {"reproduce-kk2009": GOLDEN_STDOUT["reproduce-kk2009", "text"],
+                       "pre-csv": GOLDEN_STDOUT["pre", "csv"]}
 
 
 def test_exit_code_2_on_input_errors(tmp_path, capsys):

@@ -18,16 +18,14 @@ from strataux import (
     PopulationConfig,
     SampleDesign,
     generate_population,
-    min_mse_tp,
     moment_set,
-    mse_classic,
-    mse_tp,
+    optimal_m,
     summarize,
     variance_mean,
 )
 from strataux.data_model import _exact_sum
 from strataux.estimators import estimate_rows, sample_statistics
-from strataux.mse_theory import ESTIMATOR_ORDER
+from strataux.mse_theory import ESTIMATOR_ORDER, FAMILY, mse_row
 
 # acceptance 3's targets, cut to 8, 9 and 10 units
 TINY = PopulationConfig(
@@ -77,19 +75,10 @@ def test_exact_oracle_matches_the_design_variance_of_the_mean():
     t0 = time.perf_counter()
     micro, _ = generate_population(TINY)
     mset = moment_set(summarize(micro), TINY_DESIGN)
-    labels, rows, theory = [], [], []
-    for e in ESTIMATOR_ORDER:
-        if e == "exp_regression":
-            tuned = min_mse_tp(mset)
-            for label, m1, m2, mse in ((e, 1.0, 1.0, mse_tp(mset, 1.0, 1.0).mse),
-                                       ("exp_regression_opt", tuned.m1, tuned.m2, tuned.mse)):
-                labels.append(label)
-                rows.append((e, m1, m2))
-                theory.append(mse)
-        else:
-            labels.append(e)
-            rows.append((e, None, None))
-            theory.append(mse_classic(e, mset))
+    labels = [*ESTIMATOR_ORDER, "exp_regression_opt"]
+    rows = [(e, None, None) for e in FAMILY]
+    rows += [("exp_regression", 1.0, 1.0), ("exp_regression", *optimal_m(mset))]
+    theory = [mse_row(mset, *row).mse for row in rows]
 
     emp_mean, emp_mse, count = exact_design_moments(micro, TINY_DESIGN, rows)
 

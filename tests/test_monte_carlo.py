@@ -16,7 +16,10 @@ from strataux import (
     ValidationError,
     draw_sample,
     generate_population,
+    min_mse_tp,
     moment_set,
+    mse_classic,
+    mse_tp,
     optimal_m,
     parse_generator_config,
     point_estimate,
@@ -489,6 +492,33 @@ def test_estimator_subset_controls_rows(small_population):
         run_simulation(micro, design, R=5, master_seed=1, estimators=("mean", "mean"))
     with pytest.raises(InputError, match="replication count"):
         run_simulation(micro, design, R=0, master_seed=1)
+
+
+def test_tuned_rows_keep_their_place_in_the_requested_order(small_population):
+    micro, pop = small_population
+    order = ("mean", "exp_regression", "ratio")
+    design = SampleDesign(n=(6, 9))
+    report = run_simulation(micro, design, R=5, master_seed=1, estimators=order,
+                            m1=0.5, m2=-1.0)
+    mset = moment_set(pop, design)
+    tuned = min_mse_tp(mset)
+    assert [(r.estimator, r.m1, r.m2, r.theory_mse) for r in report.rows] == [
+        ("mean", None, None, mse_classic("mean", mset)),
+        ("exp_regression", 0.5, -1.0, mse_tp(mset, 0.5, -1.0).mse),
+        ("exp_regression_opt", tuned.m1, tuned.m2, tuned.mse),
+        ("ratio", None, None, mse_classic("ratio", mset)),
+    ]
+    # a census has no optimum: its row is left out, with a note
+    census = SampleDesign(n=(40, 60))
+    report = run_simulation(micro, census, R=5, master_seed=1, estimators=order)
+    mset = moment_set(pop, census)
+    assert [(r.estimator, r.m1, r.m2, r.theory_mse) for r in report.rows] == [
+        ("mean", None, None, mse_classic("mean", mset)),
+        ("exp_regression", 1.0, 1.0, mse_tp(mset, 1.0, 1.0).mse),
+        ("ratio", None, None, mse_classic("ratio", mset)),
+    ]
+    assert report.notes == ("census design: exp_regression_opt left out, "
+                            "the tuning optimum is undefined",)
 
 
 def test_census_simulation_recovers_the_population_mean(small_population):

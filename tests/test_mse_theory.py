@@ -25,7 +25,7 @@ from strataux import (
     tp_diagnostics,
     variance_mean,
 )
-from strataux.mse_theory import classic_breakdown
+from strataux.mse_theory import mse_row
 
 # Frozen from an independent plain-Python recomputation on the embedded
 # dataset under prefer-correlation (1e-12 relative; summation order may
@@ -234,8 +234,8 @@ def test_negative_first_order_mse_warns():
 
 
 def test_prefer_covariance_column_goes_negative(m_cov):
-    t5 = classic_breakdown("exp_ratio_x_product_z", m_cov)
-    t6 = classic_breakdown("exp_product_x_ratio_z", m_cov)
+    t5 = mse_row(m_cov, "exp_ratio_x_product_z")
+    t6 = mse_row(m_cov, "exp_product_x_ratio_z")
     assert t5.mse == pytest.approx(-113295.4285, abs=0.01)
     assert t6.mse == pytest.approx(-112007.4833, abs=0.01)
     assert t5.warning is not None and t6.warning is not None
