@@ -60,15 +60,18 @@ def sample_statistics(
         return np.repeat([[pop.ybar], [pop.xbar], [pop.zbar]], B, axis=1), np.zeros(B), np.zeros(B)
     means = np.zeros((3, B))
     sums = np.zeros((4, B))  # sum_h W_h^2 f_h (s_yx, s_xx, s_yz, s_zz)
+    products = np.empty((4, B))
     for sample, n_h, (w, f) in zip(samples, design.n, factors):
-        m = sample.mean(axis=-1)
+        m = np.add.reduce(sample, -1)  # np.mean's sum and division: the same bits
+        m /= n_h
         means += w * m
         if n_h >= 2:
-            scale = w ** 2 * f / (n_h - 1)
             sample -= m[..., None]
             dy, dx, dz = sample
             for k, (a, b) in enumerate(((dy, dx), (dx, dx), (dy, dz), (dz, dz))):
-                sums[k] += scale * np.einsum("bn,bn->b", a, b)
+                np.einsum("bn,bn->b", a, b, out=products[k])
+            products *= w ** 2 * f / (n_h - 1)
+            sums += products
     den = sums[1::2]
     b1, b2 = np.divide(sums[::2], den, out=np.full_like(den, np.nan), where=den != 0.0)
     return means, b1, b2

@@ -37,6 +37,7 @@ from .data_model import (
     StratifiedSample,
     ValidationError,
     _exact_sum,
+    check_number,
     check_record,
     decode_json,
     document_entries,
@@ -52,7 +53,7 @@ GENERATOR_NAME = "philox4x64-lemire-floyd"
 # replicates per simulation block, fewer when that many would sample more
 # than _BLOCK_UNITS units: bounds the kernel's memory; results do not depend
 # on it
-_BLOCK = 128
+_BLOCK = 256
 _BLOCK_UNITS = 1 << 16
 
 # a run fails when any estimator's non-finite replication share exceeds this
@@ -167,31 +168,46 @@ def _draw_indices(
 
 def _lemire(words: np.ndarray, highs: np.ndarray) -> np.ndarray:
     """floor(w·high / 2^64) for uint64 words w and highs (Lemire, ACM TOMACS
-    2019), the high half of the exact 128-bit product from 32-bit limbs. No
-    rejection: each value takes floor(2^64 / high) words or one more, so a
-    draw is within high / 2^64 of uniform (under 6e-14 at high = 1e6)."""
+    2019), the high half of the exact 128-bit product. With w = w1·2^32 + w0
+    and every high < 2^32 it is (w1·high + (w0·high >> 32)) >> 32, whose sum
+    cannot overflow; otherwise it is summed from 32-bit limbs of w and high.
+    No rejection: each value takes floor(2^64 / high) words or one more, so
+    a draw is within high / 2^64 of uniform (under 6e-14 at high = 1e6)."""
     low, shift = np.uint64(0xFFFFFFFF), np.uint64(32)
-    w1, w0, h1, h0 = words >> shift, words & low, highs >> shift, highs & low
-    cross1, cross0 = w1 * h0, w0 * h1
-    carry = ((w0 * h0) >> shift) + (cross1 & low) + (cross0 & low)
-    return w1 * h1 + (cross1 >> shift) + (cross0 >> shift) + (carry >> shift)
+    w1 = words >> shift
+    if highs.max() > low:
+        w0, h1, h0 = words & low, highs >> shift, highs & low
+        cross1, cross0 = w1 * h0, w0 * h1
+        carry = ((w0 * h0) >> shift) + (cross1 & low) + (cross0 & low)
+        return w1 * h1 + (cross1 >> shift) + (cross0 >> shift) + (carry >> shift)
+    w0 = words & low
+    w0 *= highs
+    w0 >>= shift
+    w1 *= highs
+    w1 += w0
+    w1 >>= shift
+    return w1
 
 
 @lru_cache(maxsize=8)
 def _draw_columns(sizes: tuple[int, ...], n: tuple[int, ...]):
     """Per-column constants of one replicate's draws, strata in turn: the
-    draw number k within its stratum, J + k, J + k + 1 as uint64 (J =
-    N_h - n_h), the sort base of _floyd_select and each stratum's end column.
-    top and base are int32 when every sort code fits, halving block arrays."""
+    draw number k within its stratum (unsigned), J + k, J + k + 1 as uint64
+    (J = N_h - n_h), the sort base of _floyd_select and each stratum's end
+    column. top and base are int32 when every sort code fits, halving block
+    arrays: with s = bit_length(Σn_h - 1), when Σ N_h << s < 2^31."""
     sizes, n = np.array(sizes), np.array(n)
     ends = np.cumsum(n)
     width = int(ends[-1])
-    dtype = np.int32 if int(sizes.sum()) * width < 2 ** 31 else np.int64
+    s = (width - 1).bit_length()
+    dtype = np.int32 if int(sizes.sum()) << s < 2 ** 31 else np.int64
     k = np.arange(width) - np.repeat(ends - n, n)
     top = np.repeat(sizes - n, n) + k
-    # units before the column's stratum, times the row width, plus the column
-    base = np.repeat(np.cumsum(sizes) - sizes, n) * width + np.arange(width)
-    return k, top.astype(dtype), (top + 1).astype(np.uint64), base.astype(dtype), ends.tolist()
+    # units before the column's stratum, shifted past the column bits, plus the column
+    base = (np.repeat(np.cumsum(sizes) - sizes, n) << s) + np.arange(width)
+    unsigned = np.uint32 if dtype is np.int32 else np.uint64
+    return (k.astype(unsigned), top.astype(dtype), (top + 1).astype(np.uint64),
+            base.astype(dtype), ends.tolist())
 
 
 def _floyd_select(t: np.ndarray, k: np.ndarray, top: np.ndarray,
@@ -201,9 +217,9 @@ def _floyd_select(t: np.ndarray, k: np.ndarray, top: np.ndarray,
 
     Column j of t, of width columns, holds draw number k[j] of its stratum,
     a value in [0, top[j]] where top = J + k and J = N_h - n_h; base[j] is
-    width times the number of units in the strata before it, plus j. Draw
-    k collides, and selects J + k in place of t_k, exactly when t_k is
-    already selected, that is when
+    the number of units in the strata before it, shifted left by s =
+    bit_length(width - 1), plus j. Draw k collides, and selects J + k in
+    place of t_k, exactly when t_k is already selected, that is when
       (a) t_k equals an earlier t_i of the stratum (whether t_i was then
           selected or collided, it is taken by now), or
       (b) t_k = J + i for an earlier i that collided itself.
@@ -213,20 +229,26 @@ def _floyd_select(t: np.ndarray, k: np.ndarray, top: np.ndarray,
     stratum to sort, plus a pass per link of the longest chain; never O(N_h).
     """
     B, width = t.shape
-    # (a): sort codes (unit, column), units offset by stratum so equal draws
-    # of different strata never meet; of equal units the earliest column
-    # comes first, and every later one is a repeat
-    code = t * width
+    s = (width - 1).bit_length()
+    # (a): sort codes (unit << s) + column, units offset by stratum so equal
+    # draws of different strata never meet; of equal units the earliest
+    # column comes first, and every later one is a repeat
+    code = t << s
     code += base
     code.sort(axis=1)
-    unit = code // width
-    rows, j = np.nonzero(unit[:, 1:] == unit[:, :-1])
-    collided = np.zeros((B, width), dtype=bool)
-    collided[rows, code[rows, j + 1] % width] = True
-    back = np.subtract(top, t, out=code)
-    src = np.flatnonzero((back > 0) & (back <= k) & ~collided)
-    dst = src - back.ravel()[src]  # (b): draw k links k - i columns back
-    collided = collided.ravel()
+    flat = code.ravel()
+    unit = flat >> s
+    repeat = np.empty(B * width, dtype=bool)
+    np.equal(unit[1:], unit[:-1], out=repeat[1:])
+    repeat[::width] = False  # a row's first code repeats nothing
+    at = np.flatnonzero(repeat)
+    collided = np.zeros(B * width, dtype=bool)
+    collided[at - at % width + (flat[at] & ((1 << s) - 1))] = True  # row start + column
+    # (b): 0 < back <= k for back = top - t is one unsigned comparison,
+    # back - 1 < k; back - 1 goes into code's buffer
+    back1 = np.subtract(top - 1, t, out=code)
+    src = np.flatnonzero((back1.view(k.dtype) < k).ravel() & ~collided)
+    dst = src - 1 - back1.ravel()[src]  # draw k links k - i = back columns back
     while (new := collided[dst] & ~collided[src]).any():
         collided[src[new]] = True
     np.copyto(t, top, where=collided.reshape(B, width))
@@ -307,6 +329,8 @@ def run_simulation(
     """
     if R < 1:
         raise InputError(f"replication count must be >= 1, got {R}")
+    check_number("m1", m1)  # even when no requested row reads them
+    check_number("m2", m2)
     design.check_against(micro.sizes)
     requested = tuple(estimators) if estimators is not None else ESTIMATOR_ORDER
     for e in requested:
@@ -322,7 +346,7 @@ def run_simulation(
     labels, theory = [], []
     for e in requested:
         labels.append(e)
-        theory.append(mse_row(mset, e, m1, m2))  # checks m1, m2 before the optimum is solved
+        theory.append(mse_row(mset, e, m1, m2))
         if e == "exp_regression" and mset.census:
             notes.append("census design: exp_regression_opt left out, "
                          "the tuning optimum is undefined")
@@ -347,6 +371,7 @@ def run_simulation(
             samples = [np.take(vals, picks, axis=1) for vals, picks in zip(values, idx)]
         means, b1, b2 = sample_statistics(pop, design, samples)
         out[:, lo:hi] = estimate_rows(kernel_rows, *means, xbar, zbar, b1, b2)
+        del samples  # freed before the next draw, which would otherwise run beside it
 
     rows = []
     failures = []

@@ -212,6 +212,16 @@ def test_simulate_rejects_a_repeated_estimator(config_file, capsys):
     assert captured.err == "error: repeated estimator 'exp_regression'\n"
 
 
+def test_simulate_rejects_invalid_tuning_that_no_row_reads(config_file, capsys):
+    for flags, message in ((["--m1", "nan", "--m2", "1"], "m1 must be finite, got nan"),
+                           (["--m1", "1", "--m2", "inf"], "m2 must be finite, got inf")):
+        assert main(["simulate", "--input", config_file, "--design", "6,9", "--R", "5",
+                     "--estimators", "mean,regression", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
 def test_simulate_rejects_summary_documents(summary_file, capsys):
     assert main(["simulate", "--input", summary_file, "--design", DESIGN]) == 2
     assert "cannot be sampled from" in capsys.readouterr().err

@@ -1,7 +1,9 @@
 """Population generation, SRSWOR draws and the replication harness."""
 import dataclasses
+import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,6 +54,7 @@ def small_population():
 
 
 # ----------------------------------------------------------------- config
+
 
 def test_generator_config_round_trip():
     text = json.dumps({
@@ -122,6 +125,7 @@ def test_generator_stratum_validation():
 
 # -------------------------------------------------------------- population
 
+
 def test_generate_population_matches_targets(small_population):
     micro, pop = small_population
     assert micro.sizes == (40, 60)
@@ -180,6 +184,7 @@ def test_realized_mean_guard_fires_for_some_seed():
 
 
 # ------------------------------------------------------------------ draws
+
 
 def test_draw_sample_shapes_and_membership(small_population):
     micro, _ = small_population
@@ -253,6 +258,17 @@ def test_lemire_map_is_the_exact_high_product(high):
     assert got.ravel().tolist() == [(w * high) >> 64 for w in words.tolist()]
 
 
+def test_lemire_map_takes_the_wide_form_for_one_wide_high():
+    # one row of narrow highs with a single high >= 2^32: the whole row
+    # goes through the 32-bit-limb product, still exact
+    highs = np.array([1, 7, 2 ** 32 - 1, 2 ** 32 + 5, 1_000_000], dtype=np.uint64)
+    words = np.random.default_rng(3).integers(0, 2 ** 64, size=(1, 5), dtype=np.uint64)
+    words[0, 3] = _MASK64
+    got = monte_carlo._lemire(words, highs)
+    assert got.tolist() == [[(w * h) >> 64 for w, h in zip(words[0].tolist(), highs.tolist())]]
+    assert got[0, 3] == 2 ** 32 + 4
+
+
 def test_draw_sample_follows_documented_stream_contract(small_population):
     # replicate the documented contract v3: the raw words of counter blocks
     # r'C + 1 .. r'C + C of Philox4x64-10 keyed (seed mod 2^64, 0), word j
@@ -292,6 +308,51 @@ def test_batched_floyd_matches_a_set_based_floyd(sizes, n):
         for N_h, n_h in zip(sizes, n):
             assert got[lo:lo + n_h] == _python_floyd(row[lo:lo + n_h], N_h, n_h)
             lo += n_h
+
+
+@pytest.mark.parametrize("units, dtype", [(2 ** 28 - 1, np.int32), (2 ** 28, np.int64)])
+def test_floyd_sort_codes_switch_type_exactly_at_the_int32_rule(units, dtype):
+    # width 7 packs the column in s = 3 bits: codes are int32 while
+    # sum(N_h) << 3 < 2^31 (not sum(N_h) * 7), and the last unit's code
+    # comes within 10 of 2^31
+    sizes, n = (units - 5, 5), (3, 4)
+    k, top, highs, base, _ = monte_carlo._draw_columns(sizes, n)
+    assert top.dtype == base.dtype == dtype
+    draws = np.random.default_rng(9).integers(0, highs, size=(2000, 7))
+    picked = monte_carlo._floyd_select(draws.astype(dtype), k, top, base)
+    for row, got in zip(draws.tolist(), picked.tolist()):
+        assert got == _python_floyd(row[:3], units - 5, 3) + _python_floyd(row[3:], 5, 4)
+
+
+# v3 selections as recorded before the block kernel was reworked: int64
+# little-endian bytes of each stratum's _draw_indices array, strata in turn,
+# master seed 5; integers only, so the digests hold on any CPU and build
+V3_SELECTIONS = [
+    ((200, 300, 500), (20, 30, 50), 700,  # acceptance 3's design
+     "0ba0ce61a611c9efcae39a9a35e259d5f79b2f07fd4963b92c2b812f908ffcae"),
+    ((60, 500), (59, 499), 300,  # near-census: the longest collision chains
+     "59e4499b11cf8d45aa600a55c71067f913ba002f7c6e36fd2d636dadfda46d0d"),
+    ((3_000_000_000, 6), (3, 5), 300,  # int64 sort codes
+     "fd8b0199cacf2f3f15e2f382f8e669498d1df7e3f30fedf9c960b697ff0f00ad"),
+    ((40, 90), (30, 34), 300,  # width 64: 6 column bits
+     "d8fe5bef4099b412c87b44522be15f95d062dc47fadbd521b4d607897a12bc05"),
+    ((40, 90), (30, 35), 300,  # width 65: 7 column bits
+     "c13e572d2332a8ad719c8267616d0ceeccaf4b3fab2d2311a2e648819165d8ea"),
+]
+
+
+@pytest.mark.parametrize("sizes, n, streams, digest", V3_SELECTIONS)
+def test_v3_selections_match_their_recorded_digests(sizes, n, streams, digest):
+    idx = monte_carlo._draw_indices(5, range(streams), sizes, n)
+    sha = hashlib.sha256()
+    for rows in idx:
+        sha.update(rows.astype("<i8").tobytes())
+    assert sha.hexdigest() == digest
+    for block in (128, 256):  # the simulator's block boundaries, old and new
+        parts = [monte_carlo._draw_indices(5, range(lo, min(lo + block, streams)), sizes, n)
+                 for lo in range(0, streams, block)]
+        for h, rows in enumerate(idx):
+            assert (np.concatenate([part[h] for part in parts]) == rows).all()
 
 
 def test_census_draw_is_a_permutation():
@@ -340,6 +401,7 @@ def test_inclusion_is_uniform_across_streams():
 
 
 # -------------------------------------------------------------- simulation
+
 
 def test_simulation_report_is_deterministic(small_population):
     micro, _ = small_population
@@ -566,3 +628,23 @@ def test_rel_gap_definition(small_population):
     assert row.rel_gap == (row.emp_mse - row.theory_mse) / row.theory_mse
     # 400 replications put the empirical MSE in the right ballpark
     assert abs(row.rel_gap) < 0.5
+
+
+def test_gate3_simulation_peak_memory_stays_under_the_guard():
+    # acceptance 3's population, design and estimators at R = 10 000, as the
+    # benchmark's mc-small-strata runs them: 1.4 MB traced at blocks of 256
+    # and 2.25 MB at 512, so larger blocks or a kernel that keeps more
+    # block-sized temporaries alive fail here before they show in peak RSS
+    micro, _ = generate_population(PopulationConfig(strata=tuple(
+        _stratum(N=N, mean_y=y, mean_x=x, mean_z=z, sd_y=y / 4, sd_x=x / 4, sd_z=z / 4)
+        for N, y, x, z in ((200, 50.0, 80.0, 60.0), (300, 55.0, 90.0, 66.0),
+                           (500, 60.0, 100.0, 72.0))), seed=7))
+    tracemalloc.start()
+    try:
+        run_simulation(micro, SampleDesign(n=(20, 30, 50)), R=10_000, master_seed=2026,
+                       estimators=("mean", "ratio", "exp_ratio_x", "exp_ratio_xz",
+                                   "regression", "exp_regression"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.0e6, peak
