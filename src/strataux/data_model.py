@@ -24,7 +24,7 @@ import math
 from array import array
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from functools import cached_property
-from itertools import islice
+from itertools import chain, islice
 from typing import Iterator, Optional, Sequence
 
 # A covariance/correlation pair is considered consistent when the relative
@@ -278,20 +278,23 @@ class StratifiedSample:
 # default generation-0 threshold (700), so a chunk's row lists are freed
 # before a collection would scan them
 _CHUNK = 512
+# fewest characters of CSV text in one io.StringIO slice of parse_microdata:
+# 256 KiB as UCS4, where one StringIO of the whole text costs 4 bytes a character
+_SPAN = 1 << 16
 
 
 def parse_microdata(text: str) -> Microdata:
     """Parse a delimited table with header ``stratum,y,x,z`` into Microdata.
 
-    csv.reader tokenizes. Each chunk of _CHUNK records is transposed and
-    converted with float(); a chunk failing any check is walked by
-    _check_records, so the error names the first bad record ("line N"
-    counts records, blank ones too). One stable sort of label codes groups
-    the strata in first-appearance order.
+    csv.reader tokenizes the lines of _lines(text). Each chunk of _CHUNK
+    records is transposed and converted with float(); a chunk failing any
+    check is walked by _check_records, so the error names the first bad
+    record ("line N" counts records, blank ones too). One stable sort of
+    label codes groups the strata in first-appearance order.
     """
     import numpy as np
     failure: list[str] = []
-    records = _records(csv.reader(io.StringIO(text)), failure)
+    records = _records(csv.reader(_lines(text)), failure)
     line, header = 0, None  # records read so far; the first nonblank one
     for line, cells in enumerate(records, start=1):
         if cells:
@@ -326,8 +329,23 @@ def parse_microdata(text: str) -> Microdata:
     for label, size in zip(codes, sizes):
         if size < 2:
             raise InputError(f"stratum {label!r} has {size} record(s); need at least 2")
-    values = np.concatenate(blocks, axis=1).T[np.argsort(key, kind="stable")]
+    values = np.concatenate(blocks, axis=1)
+    del blocks  # so the sort's copy is the only other one alive
+    values = values.T[np.argsort(key, kind="stable")]
     return Microdata(tuple(codes), tuple(np.split(values, np.cumsum(sizes)[:-1])))
+
+
+def _lines(text: str) -> Iterator[str]:
+    """The lines of io.StringIO(text), "\\n"-split with terminators kept, read
+    from slices of at least _SPAN characters that end just after a "\\n" (or
+    at the end of text), so one slice at a time is held as UCS4."""
+    def slices():
+        start = 0
+        while start < len(text):
+            end = text.find("\n", start + _SPAN - 1) + 1 or len(text)
+            yield text[start:end]
+            start = end
+    return chain.from_iterable(map(io.StringIO, slices()))
 
 
 def _records(reader, failure: list) -> Iterator[list[str]]:

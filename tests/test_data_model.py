@@ -6,6 +6,7 @@ import json
 import math
 import random
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -169,14 +170,34 @@ def _random_csv(rnd, n_records, newline="\n"):
     return newline.join(lines) + newline
 
 
+# _SPAN values to parse at: slices of one line, cuts inside quoted newline
+# labels and records, and the default last, so it is restored
+_SPANS = (1, 5, data_model._SPAN)
+
+
+def test_line_source_yields_the_stringio_lines(monkeypatch):
+    rnd = random.Random(17)
+    texts = ["", "\n", "\r\n", "\r", "a\rb\r", "\n\n\r\n\n", "no final newline",
+             'A,"D\nE",1,2\r\n"\n",3\n', "tail\x0b\x1c\u2028\r\n\r",
+             "x" * (data_model._SPAN + 3) + "\r\ny\n" + "z" * data_model._SPAN]
+    texts += ["".join(rnd.choices('ab,"\n\r\x0b\x1c\u2028', k=rnd.randint(0, 60)))
+              for _ in range(300)]
+    for span in (1, 2, 7, data_model._SPAN):
+        monkeypatch.setattr(data_model, "_SPAN", span)
+        for text in texts:
+            assert list(data_model._lines(text)) == list(io.StringIO(text)), (span, text)
+
+
 def test_parse_microdata_matches_the_record_parser_on_random_csvs(monkeypatch):
     rnd = random.Random(2024)
     for chunk in (1, 3, 7, data_model._CHUNK):
         monkeypatch.setattr(data_model, "_CHUNK", chunk)
-        for _ in range(25):
-            newline = rnd.choice(("\n", "\r\n"))
-            text = _random_csv(rnd, rnd.randint(2, 40), newline)
-            _assert_parses_like_reference(text)
+        for span in _SPANS:
+            monkeypatch.setattr(data_model, "_SPAN", span)
+            for _ in range(25):
+                newline = rnd.choice(("\n", "\r\n"))
+                text = _random_csv(rnd, rnd.randint(2, 40), newline)
+                _assert_parses_like_reference(text)
 
 
 def test_parse_microdata_matches_the_record_parser_across_chunks():
@@ -202,18 +223,20 @@ def test_parse_microdata_reports_the_oracles_first_error(monkeypatch):
     rnd = random.Random(11)
     for chunk in (2, 3, data_model._CHUNK):
         monkeypatch.setattr(data_model, "_CHUNK", chunk)
-        for kind, record in bad.items():
-            for at in range(len(good) + 1):
-                text = "\n".join(["stratum,y,x,z", *good[:at], record, *good[at:]]) + "\n"
-                assert _assert_parses_like_reference(text) is not None, kind
-        # two bad records: the one earlier in the file wins, chunks apart or not
-        for _ in range(40):
-            first, second = rnd.sample(sorted(bad), 2)
-            lines = ["stratum,y,x,z", *good]
-            i, j = sorted(rnd.sample(range(1, 12), 2))
-            lines[i:i] = [bad[first]]
-            lines[j:j] = [bad[second]]
-            _assert_parses_like_reference("\n".join(lines) + "\n")
+        for span in _SPANS:
+            monkeypatch.setattr(data_model, "_SPAN", span)
+            for kind, record in bad.items():
+                for at in range(len(good) + 1):
+                    text = "\n".join(["stratum,y,x,z", *good[:at], record, *good[at:]]) + "\n"
+                    assert _assert_parses_like_reference(text) is not None, kind
+            # two bad records: the one earlier in the file wins, chunks apart or not
+            for _ in range(40):
+                first, second = rnd.sample(sorted(bad), 2)
+                lines = ["stratum,y,x,z", *good]
+                i, j = sorted(rnd.sample(range(1, 12), 2))
+                lines[i:i] = [bad[first]]
+                lines[j:j] = [bad[second]]
+                _assert_parses_like_reference("\n".join(lines) + "\n")
     # a non-finite value early, a field-count error chunks later
     monkeypatch.setattr(data_model, "_CHUNK", 2)
     text = "stratum,y,x,z\nS,1,2,3\nS,inf,2,3\n" + "S,1,2,3\n" * 6 + "S,1,2\n"
@@ -221,6 +244,23 @@ def test_parse_microdata_reports_the_oracles_first_error(monkeypatch):
     for text in ("", "\n\n", "a,b,c,d\n1,2,3,4\n", "stratum,y,x,z\n", "stratum,y,x,z\n\n",
                  "stratum,y,x,z\nA,1,2,3\nA,2,3,4\nB,1,1,1\n", " stratum , y,x ,z\nA,1,2,3\n"):
         _assert_parses_like_reference(text)
+
+
+def test_parse_microdata_peak_memory_stays_under_twice_the_text():
+    # 10 strata x 2 000 records of repr floats, about 1.2 MB of text: the parse
+    # traced 4.9x the text's length when csv.reader read one io.StringIO of it
+    # (UCS4, four bytes a character) and 1.1x from slices of _SPAN characters
+    rnd = random.Random(9)
+    text = "stratum,y,x,z\n" + "".join(
+        f"s{h},{rnd.gauss(50, 9)!r},{rnd.gauss(80, 14)!r},{rnd.gauss(60, 11)!r}\n"
+        for h in range(10) for _ in range(2000))
+    tracemalloc.start()
+    try:
+        parse_microdata(text)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * len(text), (peak, len(text))
 
 
 def test_csv_tokenizer_errors_name_the_record():
