@@ -224,7 +224,7 @@ class Microdata:
 
     def __post_init__(self) -> None:
         if len(self.labels) != len(self.arrays):
-            raise InputError("labels and groups length mismatch")
+            raise InputError("labels and arrays length mismatch")
         object.__setattr__(self, "arrays", tuple(
             _record_array(a, f"stratum {label!r}") for label, a in zip(self.labels, self.arrays)))
 

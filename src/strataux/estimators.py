@@ -37,36 +37,37 @@ from .mse_theory import ESTIMATOR_ORDER, FAMILY
 
 
 def sample_statistics(
-    pop: PopulationSummary, design: SampleDesign, samples: Sequence[np.ndarray]
+    pop: PopulationSummary, design: SampleDesign,
+    values: Sequence[np.ndarray], picks: Sequence[np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Stratified sample means and combined sample slopes of B samples.
 
-    samples holds each stratum's (3, B, n_h) array of (y, x, z) values,
-    C-ordered so that each mean sums its n_h values pairwise, the same
-    bits for one sample as for any batch. Deviations are formed in place, so
-    callers pass arrays they own: out of place took up to twice as long per block.
-    Returns the (3, B) means (ybar_st, xbar_st, zbar_st) and the slopes
-    b1, b2 of shape (B,), the plug-in analogues of B1, B2:
-    b1 = sum_h W_h^2 f_h s_yxh / sum_h W_h^2 f_h s_xh^2 and b2 likewise
-    with z, on the n_h - 1 divisor. Strata of one unit carry no
+    values[h] holds stratum h's (3, N_h) columns (y, x, z) and picks[h] the
+    (B, n_h) units of its B samples, gathered into a C-ordered (3, B, n_h)
+    array so that each mean sums its n_h values pairwise: the same bits for
+    one sample as for any batch. Returns the (3, B) means (ybar_st, xbar_st,
+    zbar_st) and the slopes b1, b2 of shape (B,), the plug-in analogues of
+    B1, B2: b1 = sum_h W_h^2 f_h s_yxh / sum_h W_h^2 f_h s_xh^2 and b2
+    likewise with z, on the n_h - 1 divisor. Strata of one unit carry no
     within-sample dispersion and are skipped; a zero denominator gives
     nan. A census (every f_h zero) is the population: its means are
     pop's exactly and its slopes 0, which the corrections they multiply
-    ignore.
+    ignore; its picks are not read.
     """
     factors = design_factors(pop, design)
-    B = samples[0].shape[1]
+    B = len(picks[0])
     if all(f == 0.0 for _, f in factors):
         return np.repeat([[pop.ybar], [pop.xbar], [pop.zbar]], B, axis=1), np.zeros(B), np.zeros(B)
     means = np.zeros((3, B))
     sums = np.zeros((4, B))  # sum_h W_h^2 f_h (s_yx, s_xx, s_yz, s_zz)
     products = np.empty((4, B))
-    for sample, n_h, (w, f) in zip(samples, design.n, factors):
+    for vals, idx, n_h, (w, f) in zip(values, picks, design.n, factors):
+        sample = np.take(vals, idx, axis=1)
         m = np.add.reduce(sample, -1)  # np.mean's sum and division: the same bits
         m /= n_h
         means += w * m
         if n_h >= 2:
-            sample -= m[..., None]
+            sample -= m[..., None]  # in place: out of place took up to twice as long
             dy, dx, dz = sample
             for k, (a, b) in enumerate(((dy, dx), (dx, dx), (dy, dz), (dz, dz))):
                 np.einsum("bn,bn->b", a, b, out=products[k])
@@ -128,11 +129,11 @@ def point_estimate(
     """Evaluate one estimator on a drawn sample.
 
     The sample is the simulator's batch of one: each stratum's (n_h, 3)
-    observations go to sample_statistics as a C-ordered (3, 1, n_h) copy,
-    the shape of a simulator block, so a replicate's estimate here equals
-    run_simulation's bit for bit. m1, m2 apply to exp_regression only
-    (required there, finite and within MAX_MAGNITUDE). b1, b2 override the
-    sample slopes for the two slope-bearing estimators.
+    observations go to sample_statistics transposed and picked in order, so
+    a replicate's estimate here equals run_simulation's bit for bit. m1, m2
+    apply to exp_regression only (required there, finite and within
+    MAX_MAGNITUDE). b1, b2 override the sample slopes for the two
+    slope-bearing estimators.
     """
     if estimator not in ESTIMATOR_ORDER:
         raise InputError(f"unknown estimator {estimator!r}")
@@ -147,8 +148,8 @@ def point_estimate(
     if not slopes_used and (b1 is not None or b2 is not None):
         raise InputError(f"b1/b2 are not parameters of {estimator!r}")
 
-    means, *slopes = sample_statistics(
-        pop, sample.design, [obs.T.copy()[:, None] for obs in sample.observations])
+    means, *slopes = sample_statistics(pop, sample.design, [o.T for o in sample.observations],
+                                       [np.arange(len(o))[None] for o in sample.observations])
     if estimator == "ratio" and means[1, 0] == 0.0:
         raise NumericalError("ratio estimator undefined: sample x mean is zero")
     for i, (given, var) in enumerate(((b1, "x"), (b2, "z"))):

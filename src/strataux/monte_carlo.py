@@ -364,14 +364,11 @@ def run_simulation(
     for lo in range(0, R, block):
         hi = min(lo + block, R)
         if mset.census:  # sample_statistics returns the population, unread
-            samples = [np.empty((3, hi - lo, 0))] * len(values)
+            picks = [np.empty((hi - lo, 0), dtype=np.intp)] * len(values)
         else:
-            idx = _draw_indices(master_seed, range(lo, hi), micro.sizes, design.n)
-            # (3, B, n_h) per stratum, as point_estimate's batch of one: same bits
-            samples = [np.take(vals, picks, axis=1) for vals, picks in zip(values, idx)]
-        means, b1, b2 = sample_statistics(pop, design, samples)
+            picks = _draw_indices(master_seed, range(lo, hi), micro.sizes, design.n)
+        means, b1, b2 = sample_statistics(pop, design, values, picks)
         out[:, lo:hi] = estimate_rows(kernel_rows, *means, xbar, zbar, b1, b2)
-        del samples  # freed before the next draw, which would otherwise run beside it
 
     rows = []
     failures = []

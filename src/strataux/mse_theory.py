@@ -180,8 +180,9 @@ def bias_tp(m: MomentSet, m1: float, m2: float) -> float:
 
     Coefficients follow the second-order expansion as printed, including
     its -m1*m2/4 cross coefficient. That sign does not match the +m1*m2/2
-    cross structure of the squared-error quadratic; the mismatch is
-    surfaced by the Monte Carlo harness rather than silently edited here.
+    cross structure of the squared-error quadratic. Nothing checks this
+    bias against simulation: SimRow carries emp_bias but no theory bias, so
+    the mismatch is left as printed rather than silently edited here.
     """
     return m.ybar * math.fsum(
         (0.25 * m1 * m1 * m.v020, 0.25 * m2 * m2 * m.v002,

@@ -1,6 +1,8 @@
 """Command-line behavior: formats, determinism, exit codes and what loads numpy."""
+import ast
 import dataclasses
 import hashlib
+import importlib
 import json
 import os
 import subprocess
@@ -374,6 +376,19 @@ def test_golden_digests_agree_with_the_bench_reference():
     digests = json.loads(path.read_text())["stdout_sha256"]
     assert digests == {"reproduce-kk2009": GOLDEN_STDOUT["reproduce-kk2009", "text"],
                        "pre-csv": GOLDEN_STDOUT["pre", "csv"]}
+
+
+def test_bench_traced_functions_resolve():
+    # bench/tracing.py wraps each LAYER_FUNCTIONS pair in a traced run, so
+    # a pair that no longer resolves breaks the benchmark's traced mode
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    pairs = next(ast.literal_eval(node.value) for node in ast.parse(path.read_text()).body
+                 if isinstance(node, ast.Assign)
+                 and [getattr(t, "id", None) for t in node.targets] == ["LAYER_FUNCTIONS"])
+    assert pairs
+    for module, function in pairs:
+        target = getattr(importlib.import_module(f"strataux.{module}"), function, None)
+        assert callable(target), f"strataux.{module}.{function}"
 
 
 def test_exit_code_2_on_input_errors(tmp_path, capsys):

@@ -461,7 +461,7 @@ def test_sample_shape_validation():
         StratifiedSample(design=design, observations=(((1.0, 2.0, 3.0),),))
     with pytest.raises(InputError, match="sample strata do not match the design"):
         StratifiedSample(design=design, observations=())
-    with pytest.raises(InputError, match="labels and groups"):
+    with pytest.raises(InputError, match="labels and arrays"):
         Microdata(labels=("A",), arrays=())
     # a non-numeric value or a ragged stratum, through both constructors
     for records in (((1.0, 2.0, 3.0), (4.0, "n/a", 6.0)), ((1.0, 2.0, 3.0), (4.0, 5.0))):

@@ -5,7 +5,8 @@ stratified samples. Evaluating every estimator on all of them gives each
 row's exact design bias and MSE, with no Monte Carlo error, through the
 simulator's own sample_statistics and estimate_rows. The samples are
 taken one first-stratum combination at a time (17 640 samples, a few MB
-per array) and every reduction is an exact sum.
+per array). The sum over each combination's samples is exact; a row's
+total is the math.fsum of those rounded sums.
 """
 import itertools
 import math
@@ -55,13 +56,12 @@ def exact_design_moments(micro, design, rows):
               for v, n in zip(values, design.n)]
     # every combination of the later strata, crossed
     grids = np.meshgrid(*(np.arange(len(c)) for c in combos[1:]), indexing="ij")
-    rest = [np.take(v, c[g.ravel()], axis=1) for v, c, g in zip(values[1:], combos[1:], grids)]
-    B = rest[0].shape[1]
+    rest = [c[g.ravel()] for c, g in zip(combos[1:], grids)]  # (B, n_h) picks
+    B = len(rest[0])
     sums, squares = [[] for _ in rows], [[] for _ in rows]
     for first in combos[0]:
-        head = np.take(values[0], np.broadcast_to(first, (B, len(first))), axis=1)
-        # sample_statistics forms deviations in place, so it gets copies
-        means, b1, b2 = sample_statistics(pop, design, [head, *(r.copy() for r in rest)])
+        head = np.broadcast_to(first, (B, len(first)))
+        means, b1, b2 = sample_statistics(pop, design, values, [head, *rest])
         est = estimate_rows(rows, *means, xbar, zbar, b1, b2)
         for j, e in enumerate(est):
             sums[j].append(_exact_sum(e))

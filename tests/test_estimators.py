@@ -1,6 +1,7 @@
 """Point estimators on drawn samples."""
 import math
 
+import numpy as np
 import pytest
 
 from strataux import (
@@ -18,19 +19,20 @@ from strataux.estimators import sample_statistics
 
 
 def batch_of_one(sample):
-    """Each stratum's observations as the (3, 1, n_h) batch sample_statistics takes."""
-    return [obs.T.copy()[:, None] for obs in sample.observations]
+    """Each stratum's (3, n_h) observations and the picks of its batch of one."""
+    obs = sample.observations
+    return [o.T for o in obs], [np.arange(len(o))[None] for o in obs]
 
 
 def sample_means(sample, pop):
     """(ybar_st, xbar_st, zbar_st) of one sample, from the shared step."""
-    means, _, _ = sample_statistics(pop, sample.design, batch_of_one(sample))
+    means, _, _ = sample_statistics(pop, sample.design, *batch_of_one(sample))
     return tuple(means[:, 0].tolist())
 
 
 def sample_slopes(sample, pop):
     """(b1, b2) of one sample, from the shared step; nan where undefined."""
-    _, b1, b2 = sample_statistics(pop, sample.design, batch_of_one(sample))
+    _, b1, b2 = sample_statistics(pop, sample.design, *batch_of_one(sample))
     return float(b1[0]), float(b2[0])
 
 
@@ -86,6 +88,25 @@ def test_census_draw_reproduces_population_mean_exactly(micro, pop):
         kwargs = {"m1": 1.0, "m2": 1.0} if est == "exp_regression" else {}
         value = point_estimate(est, sample, pop, **kwargs)
         assert value == pop.ybar, est  # bit-for-bit, not approximately
+
+
+def test_sample_statistics_leaves_its_inputs_alone(micro, pop):
+    # the same values and picks, passed twice, give the same statistics:
+    # a unit picked in every row, and a census's zero-column picks
+    values = [a.T.copy() for a in micro.arrays]
+    repeated = [np.array([[0, 1], [0, 2], [0, 3]]),
+                np.array([[4, 0, 1], [4, 2, 3], [4, 1, 3]])]
+    census = [np.empty((3, 0), dtype=np.intp)] * 2
+    for design, picks in ((SampleDesign(n=(2, 3)), repeated),
+                          (SampleDesign(n=(4, 5)), census)):
+        before = [a.tobytes() for a in (*values, *picks)]
+        first = sample_statistics(pop, design, values, picks)
+        second = sample_statistics(pop, design, values, picks)
+        for a, b in zip(first, second):
+            assert a.shape[-1] == 3
+            assert np.array_equal(a, b, equal_nan=True)
+        assert [a.tobytes() for a in (*values, *picks)] == before
+    assert first[0][:, 0].tolist() == [pop.ybar, pop.xbar, pop.zbar]
 
 
 def test_known_values_on_a_fixed_sample(micro, pop):
