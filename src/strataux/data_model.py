@@ -160,6 +160,16 @@ class PopulationSummary:
     def zbar(self) -> float:
         return self._weighted_mean("zbar")
 
+    @cached_property
+    def _columns(self) -> dict[str, tuple]:
+        """moments.moment_set's design-free per-stratum factors, by name."""
+        cols = {f: tuple(getattr(s, f) for s in self.strata)
+                for f in ("N", "s_y", "s_x", "s_z", "s_yx", "s_yz", "s_xz", "rho_yx", "rho_yz")}
+        cols.update({f"{f}2": tuple(v ** 2 for v in cols[f]) for f in ("s_y", "s_x", "s_z")})
+        cols["residual"] = tuple(1.0 - s.rho_yx ** 2 - s.rho_yz ** 2
+                                 + 2.0 * s.rho_yx * s.rho_yz * s.rho_xz for s in self.strata)
+        return cols
+
 
 @dataclass(frozen=True)
 class SampleDesign:

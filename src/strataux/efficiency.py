@@ -120,8 +120,17 @@ def pre_table(m: MomentSet) -> PreReport:
     closed-form inequality, so they stay correct wherever the MSE formulas
     do. Every estimator but the plain ratio is a special case of the tuned
     form, so its gap is nonnegative by optimality; a negative ratio gap is
-    possible and flagged, not an error.
+    possible and flagged, not an error. Built once per MomentSet instance,
+    kept in its __dict__ (which ==, hash, repr and asdict never read); an
+    error is not kept.
     """
+    memo = vars(m)
+    if "_pre_report" not in memo:
+        memo["_pre_report"] = _pre_report(m)
+    return memo["_pre_report"]
+
+
+def _pre_report(m: MomentSet) -> PreReport:
     if m.census:
         rows = tuple(
             PreRow(estimator=e, mse=0.0, pre=None, rank=None,

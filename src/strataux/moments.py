@@ -13,6 +13,7 @@ __all__ = ["MomentSet", "design_factors", "moment_set"]
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Optional
 
 from .data_model import MAX_MAGNITUDE, NumericalError, PopulationSummary, SampleDesign
@@ -59,11 +60,9 @@ def design_factors(
     pop: PopulationSummary, design: SampleDesign
 ) -> tuple[tuple[float, float], ...]:
     """Per-stratum (W_h, f_h) with W_h = N_h/N and f_h = 1/n_h - 1/N_h."""
-    design.check_against([s.N for s in pop.strata])
-    return tuple(
-        (w, 1.0 / n_h - 1.0 / s.N)
-        for w, s, n_h in zip(pop.weights, pop.strata, design.n)
-    )
+    sizes = pop._columns["N"]
+    design.check_against(sizes)
+    return tuple((w, 1.0 / n_h - 1.0 / N_h) for w, N_h, n_h in zip(pop.weights, sizes, design.n))
 
 
 def _check_mean(name: str, mean: float, max_sd: float) -> None:
@@ -84,21 +83,21 @@ def moment_set(pop: PopulationSummary, design: SampleDesign) -> MomentSet:
     either repairing policy the two sources agree.
     """
     wf = design_factors(pop, design)
+    c = pop._columns
     ybar, xbar, zbar = pop.ybar, pop.xbar, pop.zbar
-    for name, mean, field in (("y", ybar, "s_y"), ("x", xbar, "s_x"), ("z", zbar, "s_z")):
-        _check_mean(name, mean, max(getattr(s, field) for s in pop.strata))
+    for name, mean in (("y", ybar), ("x", xbar), ("z", zbar)):
+        _check_mean(name, mean, max(c[f"s_{name}"]))
 
-    # each stratum's g_h-weighted terms, g_h = W_h^2 * f_h, once; then one
-    # fsum per column. Every term keeps its association order, so b1's
-    # numerator is ((g*rho)*s_y)*s_x and the sums keep their bits.
-    terms = [
-        (g * s.s_y ** 2, g * s.s_x ** 2, g * s.s_z ** 2, g * s.s_yx, g * s.s_yz, g * s.s_xz,
-         g * s.rho_yx * s.s_y * s.s_x, g * s.rho_yz * s.s_y * s.s_z,
-         g * s.s_y ** 2
-         * (1.0 - s.rho_yx ** 2 - s.rho_yz ** 2 + 2.0 * s.rho_yx * s.rho_yz * s.rho_xz))
-        for g, s in zip((w * w * f for (w, f) in wf), pop.strata)
-    ]
-    syy, sxx, szz, syx, syz, sxz, cyx, cyz, resid = map(math.fsum, zip(*terms))
+    # g_h = W_h^2 * f_h is the one per-design column; the other factors are
+    # the summary's cached design-free columns. Each sum is one fsum of the
+    # products taken left to right, never regrouped, so the bits stay: b1's
+    # numerator is ((g*rho_yx)*s_y)*s_x, the residual term (g*s_y^2)*factor.
+    g = [w * w * f for (w, f) in wf]
+    syy, sxx, szz, syx, syz, sxz = (
+        math.fsum(map(mul, g, c[k])) for k in ("s_y2", "s_x2", "s_z2", "s_yx", "s_yz", "s_xz"))
+    cyx = math.fsum(map(mul, map(mul, map(mul, g, c["rho_yx"]), c["s_y"]), c["s_x"]))
+    cyz = math.fsum(map(mul, map(mul, map(mul, g, c["rho_yz"]), c["s_y"]), c["s_z"]))
+    resid = math.fsum(map(mul, map(mul, g, c["s_y2"]), c["residual"]))
     v200 = syy / ybar**2
     v020 = sxx / xbar**2
     v002 = szz / zbar**2

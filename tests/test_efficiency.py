@@ -4,9 +4,11 @@ import math
 
 import pytest
 
+import strataux.mse_theory
 from strataux import (
     ESTIMATOR_ORDER,
     MomentSet,
+    NumericalError,
     PopulationSummary,
     SampleDesign,
     StratumSummary,
@@ -200,6 +202,58 @@ def test_regression_note_needs_the_residual_form():
         at_opt, regression_residual=mse_classic("regression", at_opt))
     reg = {r.estimator: r for r in dominance_report(with_residual)}["regression"]
     assert reg.delta < 0.0 and "residual" in reg.note
+
+
+def _fresh_moments():
+    pop, design = embedded_kk2009()
+    return moment_set(reconcile_covariances(pop, "prefer-correlation")[0], design)
+
+
+@pytest.fixture
+def optimal_m_calls(monkeypatch):
+    calls = []
+    solve = strataux.mse_theory.optimal_m
+    monkeypatch.setattr(strataux.mse_theory, "optimal_m", lambda m: calls.append(m) or solve(m))
+    return calls
+
+
+def test_pre_report_is_built_once_per_moment_set(optimal_m_calls):
+    m = _fresh_moments()
+    report = pre_table(m)
+    assert pre_table(m) is report
+    assert dominance_report(m) is report.dominance
+    assert len(optimal_m_calls) == 1
+    doubled = dataclasses.replace(m, v200=2 * m.v200)
+    other = pre_table(doubled)
+    assert other is not report and other != report
+    assert other.row("mean").mse == 2 * report.row("mean").mse
+    assert len(optimal_m_calls) == 2
+
+
+def test_pre_report_memo_is_invisible_to_the_value():
+    m = _fresh_moments()
+    before = (dataclasses.asdict(m), repr(m), hash(m))
+    pre_table(m)
+    assert (dataclasses.asdict(m), repr(m), hash(m)) == before
+    assert m == dataclasses.replace(m)
+
+
+def test_pre_report_errors_are_not_kept(optimal_m_calls):
+    collinear = dataclasses.replace(_fresh_moments(), v020=0.04, v002=0.01, v011=0.02)
+    messages = []
+    for _ in range(2):
+        with pytest.raises(NumericalError, match="near-singular") as err:
+            pre_table(collinear)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1] and len(optimal_m_calls) == 2
+
+
+def test_equal_moment_sets_with_signed_zeros_get_their_own_reports():
+    m = dataclasses.replace(_fresh_moments(), v110=0.0)
+    negative = dataclasses.replace(m, v110=-0.0)
+    assert m == negative and hash(m) == hash(negative)
+    assert pre_table(m) is not pre_table(negative)
+    assert pre_table(negative) is pre_table(negative)
 
 
 def test_reproduction_report_structure():

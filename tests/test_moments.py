@@ -1,5 +1,6 @@
 """Aggregated relative moments: frozen reference values and guard rails."""
 import math
+import random
 
 import pytest
 
@@ -209,3 +210,68 @@ def test_moment_scale_invariance():
     # slopes carry units: b1 ~ y/x
     assert m3.b1 == pytest.approx(base.b1 * 3.7 / 0.41, rel=1e-12)
     assert m3.b2 == pytest.approx(base.b2 * 3.7 / 12.9, rel=1e-12)
+
+
+def _oracle_moments(pop, design):
+    """Every MomentSet field but warnings, from the per-stratum 9-tuples and
+    zip(*terms) that moment_set summed before its design-free columns were
+    cached: the bit-for-bit reference for the column-by-column sums."""
+    wf = [(w, 1.0 / n_h - 1.0 / s.N) for w, s, n_h in zip(pop.weights, pop.strata, design.n)]
+    terms = [
+        (g * s.s_y ** 2, g * s.s_x ** 2, g * s.s_z ** 2, g * s.s_yx, g * s.s_yz, g * s.s_xz,
+         g * s.rho_yx * s.s_y * s.s_x, g * s.rho_yz * s.s_y * s.s_z,
+         g * s.s_y ** 2
+         * (1.0 - s.rho_yx ** 2 - s.rho_yz ** 2 + 2.0 * s.rho_yx * s.rho_yz * s.rho_xz))
+        for g, s in zip((w * w * f for (w, f) in wf), pop.strata)
+    ]
+    syy, sxx, szz, syx, syz, sxz, cyx, cyz, resid = map(math.fsum, zip(*terms))
+    ybar, xbar, zbar = pop.ybar, pop.xbar, pop.zbar
+    census = all(f == 0.0 for (_, f) in wf)
+    return {
+        "v200": syy / ybar**2, "v020": sxx / xbar**2, "v002": szz / zbar**2,
+        "v110": syx / (ybar * xbar), "v101": syz / (ybar * zbar), "v011": sxz / (xbar * zbar),
+        "ybar": ybar, "xbar": xbar, "zbar": zbar,
+        "b1": None if census else cyx / sxx, "b2": None if census else cyz / szz,
+        "census": census, "regression_residual": resid,
+    }
+
+
+def _random_summary(rnd, L):
+    strata = []
+    for h in range(1, L + 1):
+        s_y, s_x, s_z = (rnd.lognormvariate(0.0, 2.0) for _ in range(3))
+        r_yx, r_yz, r_xz = (rnd.uniform(-0.95, 0.95) for _ in range(3))
+        # covariances a little off rho*s*s, as in an unreconciled summary
+        jitter = [rnd.uniform(0.9, 1.1) for _ in range(3)]
+        strata.append(StratumSummary(
+            h=h, N=rnd.randint(2, 300),
+            ybar=rnd.uniform(-50.0, 200.0) or 1.0, xbar=rnd.lognormvariate(3.0, 2.0),
+            zbar=rnd.uniform(5.0, 80.0), s_y=s_y, s_x=s_x, s_z=s_z,
+            s_yx=r_yx * s_y * s_x * jitter[0], s_yz=r_yz * s_y * s_z * jitter[1],
+            s_xz=r_xz * s_x * s_z * jitter[2], rho_yx=r_yx, rho_yz=r_yz, rho_xz=r_xz,
+        ))
+    return PopulationSummary(strata=tuple(strata))
+
+
+def _bit_cases():
+    rnd = random.Random(20261019)
+    for L in (1, 6, 64):
+        for _ in range(25):
+            pop = _random_summary(rnd, L)
+            # some strata fully sampled (f_h = 0), one design a census
+            yield pop, SampleDesign(n=tuple(
+                s.N if rnd.random() < 0.2 else rnd.randint(1, s.N) for s in pop.strata))
+        yield pop, SampleDesign(n=tuple(s.N for s in pop.strata))
+    pop, design = embedded_kk2009()
+    yield pop, design
+    for policy in ("prefer-correlation", "prefer-covariance"):
+        yield reconcile_covariances(pop, policy)[0], design
+
+
+def test_moment_set_keeps_the_bits_of_per_stratum_sums():
+    cases = list(_bit_cases())
+    assert sum(moment_set(p, d).census for p, d in cases) >= 3
+    for pop, design in cases:
+        got = moment_set(pop, design)
+        for name, want in _oracle_moments(pop, design).items():
+            assert repr(getattr(got, name)) == repr(want), (pop.L, design.n, name)
