@@ -25,6 +25,7 @@ from array import array
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from functools import cached_property
 from itertools import chain, islice
+from operator import le
 from typing import Iterator, Optional, Sequence
 
 # A covariance/correlation pair is considered consistent when the relative
@@ -124,6 +125,7 @@ class PopulationSummary:
     strata: tuple[StratumSummary, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "strata", tuple(self.strata))  # hashable, == its tuple twin
         if not self.strata:
             raise InputError("population must have at least one stratum")
         indices = [s.h for s in self.strata]
@@ -162,10 +164,14 @@ class PopulationSummary:
 
     @cached_property
     def _columns(self) -> dict[str, tuple]:
-        """moments.moment_set's design-free per-stratum factors, by name."""
+        """moments.moment_set's design-free per-stratum factors, by name, and
+        max_s, the largest stratum SD of y, x and z."""
         cols = {f: tuple(getattr(s, f) for s in self.strata)
                 for f in ("N", "s_y", "s_x", "s_z", "s_yx", "s_yz", "s_xz", "rho_yx", "rho_yz")}
         cols.update({f"{f}2": tuple(v ** 2 for v in cols[f]) for f in ("s_y", "s_x", "s_z")})
+        cols["W2"] = tuple(w * w for w in self.weights)
+        cols["inv_N"] = tuple(1.0 / N_h for N_h in cols["N"])
+        cols["max_s"] = tuple(max(cols[f]) for f in ("s_y", "s_x", "s_z"))
         cols["residual"] = tuple(1.0 - s.rho_yx ** 2 - s.rho_yz ** 2
                                  + 2.0 * s.rho_yx * s.rho_yz * s.rho_xz for s in self.strata)
         return cols
@@ -178,8 +184,9 @@ class SampleDesign:
     n: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", tuple(self.n))  # hashable, == its tuple twin
         for i, n_h in enumerate(self.n, start=1):
-            if not isinstance(n_h, int) or n_h < 1:
+            if not isinstance(n_h, int) or isinstance(n_h, bool) or n_h < 1:
                 raise InputError(f"stratum {i}: sample size must be an integer >= 1, got {n_h}")
 
     @property
@@ -189,6 +196,8 @@ class SampleDesign:
     def check_against(self, sizes: Sequence[int]) -> None:
         """InputError unless there is one n_h per stratum and n_h <= N_h, for
         population sizes N_h in sizes; a stratum is named by its position h."""
+        if len(self.n) == len(sizes) and all(map(le, self.n, sizes)):
+            return
         if len(self.n) != len(sizes):
             raise InputError(
                 f"design has {len(self.n)} strata but population has {len(sizes)}"

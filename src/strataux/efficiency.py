@@ -23,8 +23,7 @@ from .data_model import (
 )
 from .moments import MomentSet, moment_set
 from .mse_theory import (
-    _NEGATIVE_MSE_WARNING, ESTIMATOR_ORDER, MseBreakdown, min_mse_tp, mse_classic,
-    variance_mean,
+    _NEGATIVE_MSE_WARNING, ESTIMATOR_ORDER, _tuned_optimum, mse_classic, variance_mean,
 )
 
 # Reference PRE values published for the embedded six-stratum dataset, in
@@ -81,13 +80,13 @@ class PreReport:
         raise KeyError(estimator)
 
 
-def _pre_rows(m: MomentSet, tuned: Optional[MseBreakdown], why: str = "") -> tuple[PreRow, ...]:
-    """One PreRow per estimator. Without the tuned optimum (tuned None) its
-    row is empty, warned with why, and no row has a rank or gap."""
+def _pre_rows(m: MomentSet, tuned: Optional[float], why: str = "") -> tuple[PreRow, ...]:
+    """One PreRow per estimator; tuned is the tuned optimum's MSE. Without it
+    (tuned None) its row is empty, warned with why, and no row has a rank or gap."""
     mses = {e: mse_classic(e, m) for e in ESTIMATOR_ORDER if e != "exp_regression"}
     rank = {}
     if tuned is not None:
-        mses["exp_regression"] = tuned.mse
+        mses["exp_regression"] = tuned
         # the sort is stable, so tied MSEs keep estimator order
         ranked = sorted((e for e in ESTIMATOR_ORDER if mses[e] > 0.0), key=mses.__getitem__)
         rank = {e: i for i, e in enumerate(ranked, start=1)}
@@ -105,7 +104,7 @@ def _pre_rows(m: MomentSet, tuned: Optional[MseBreakdown], why: str = "") -> tup
             warning = "PRE undefined: zero MSE"
         # divide first so PRE(mean) is exactly 100 (x/x == 1.0)
         pre = None if mse == 0.0 else 100.0 * (variance / mse)
-        delta = None if tuned is None else mse - tuned.mse
+        delta = None if tuned is None else mse - tuned
         rows.append(PreRow(e, mse, pre, rank.get(e), delta, warning))
     return tuple(rows)
 
@@ -139,7 +138,7 @@ def _pre_report(m: MomentSet) -> PreReport:
         )
         return PreReport(rows=rows)
 
-    tuned = min_mse_tp(m)
+    m1, m2, tuned = _tuned_optimum(m)
     rows = _pre_rows(m, tuned)
     notes = {"ratio": "ratio form is not nested in the tuned estimator; first-order gap negative"}
     if m.regression_residual is not None:
@@ -150,7 +149,7 @@ def _pre_report(m: MomentSet) -> PreReport:
                      notes.get(r.estimator, "") if r.delta_vs_tuned < 0.0 else "")
         for r in rows if r.estimator != "exp_regression"
     )
-    return PreReport(rows=rows, dominance=dominance, m1_opt=tuned.m1, m2_opt=tuned.m2)
+    return PreReport(rows=rows, dominance=dominance, m1_opt=m1, m2_opt=m2)
 
 
 def dominance_report(m: MomentSet) -> tuple[DominanceRow, ...]:

@@ -60,9 +60,14 @@ def design_factors(
     pop: PopulationSummary, design: SampleDesign
 ) -> tuple[tuple[float, float], ...]:
     """Per-stratum (W_h, f_h) with W_h = N_h/N and f_h = 1/n_h - 1/N_h."""
-    sizes = pop._columns["N"]
-    design.check_against(sizes)
-    return tuple((w, 1.0 / n_h - 1.0 / N_h) for w, N_h, n_h in zip(pop.weights, sizes, design.n))
+    return tuple(zip(pop.weights, _fractions(pop, design)))
+
+
+def _fractions(pop: PopulationSummary, design: SampleDesign) -> list[float]:
+    """f_h = 1/n_h - 1/N_h per stratum, 1/N_h read from the summary's cache."""
+    c = pop._columns
+    design.check_against(c["N"])
+    return [1.0 / n_h - inv_N for n_h, inv_N in zip(design.n, c["inv_N"])]
 
 
 def _check_mean(name: str, mean: float, max_sd: float) -> None:
@@ -82,17 +87,17 @@ def moment_set(pop: PopulationSummary, design: SampleDesign) -> MomentSet:
     (rho*s_a*s_b), matching their definition; after reconciliation under
     either repairing policy the two sources agree.
     """
-    wf = design_factors(pop, design)
+    f = _fractions(pop, design)
     c = pop._columns
     ybar, xbar, zbar = pop.ybar, pop.xbar, pop.zbar
-    for name, mean in (("y", ybar), ("x", xbar), ("z", zbar)):
-        _check_mean(name, mean, max(c[f"s_{name}"]))
+    for name, mean, max_sd in zip("yxz", (ybar, xbar, zbar), c["max_s"]):
+        _check_mean(name, mean, max_sd)
 
-    # g_h = W_h^2 * f_h is the one per-design column; the other factors are
+    # g_h = (W_h*W_h)*f_h is the one per-design column; the other factors are
     # the summary's cached design-free columns. Each sum is one fsum of the
     # products taken left to right, never regrouped, so the bits stay: b1's
     # numerator is ((g*rho_yx)*s_y)*s_x, the residual term (g*s_y^2)*factor.
-    g = [w * w * f for (w, f) in wf]
+    g = list(map(mul, c["W2"], f))
     syy, sxx, szz, syx, syz, sxz = (
         math.fsum(map(mul, g, c[k])) for k in ("s_y2", "s_x2", "s_z2", "s_yx", "s_yz", "s_xz"))
     cyx = math.fsum(map(mul, map(mul, map(mul, g, c["rho_yx"]), c["s_y"]), c["s_x"]))
@@ -105,7 +110,7 @@ def moment_set(pop: PopulationSummary, design: SampleDesign) -> MomentSet:
     v101 = syz / (ybar * zbar)
     v011 = sxz / (xbar * zbar)
 
-    census = all(f == 0.0 for (_, f) in wf)
+    census = not any(f)  # every f_h == 0.0
     if census:
         b1 = b2 = None
     elif sxx == 0.0:

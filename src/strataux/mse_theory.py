@@ -137,14 +137,12 @@ def mse_classic(estimator: str, m: MomentSet) -> float:
     return _quadratic(m, 0.5 * (m1 or 0.0) + d1, 0.5 * (m2 or 0.0) + d2)
 
 
-def mse_tp(m: MomentSet, m1: float, m2: float) -> MseBreakdown:
-    """First-order MSE of the tuned exponential-regression estimator."""
+def _tp_terms(m: MomentSet, m1: float, m2: float) -> tuple[float, float, float, float]:
+    """(mse, p1, p2, p3) of the tuned estimator at (m1, m2), as in mse_tp."""
     check_number("m1", m1)
     check_number("m2", m2)
     d1, d2 = _d_terms(m)
-    a1 = 0.5 * m1 + d1
-    a2 = 0.5 * m2 + d2
-    mse = _quadratic(m, a1, a2)
+    mse = _quadratic(m, 0.5 * m1 + d1, 0.5 * m2 + d2)
 
     b1, b2 = _slopes(m)
     bx = b1 * m.xbar
@@ -159,6 +157,12 @@ def mse_tp(m: MomentSet, m1: float, m2: float) -> MseBreakdown:
          -m1 * bx * m.v020, -m2 * bz * m.v002,
          -m1 * bz * m.v011, -m2 * bx * m.v011)
     )
+    return mse, p1, p2, p3
+
+
+def mse_tp(m: MomentSet, m1: float, m2: float) -> MseBreakdown:
+    """First-order MSE of the tuned exponential-regression estimator."""
+    mse, p1, p2, p3 = _tp_terms(m, m1, m2)
     return MseBreakdown(
         estimator="exp_regression", mse=mse, m1=m1, m2=m2,
         p1=p1, p2=p2, p3=p3, bias=bias_tp(m, m1, m2),
@@ -200,8 +204,16 @@ def optimal_m(m: MomentSet) -> tuple[float, float]:
     auxiliary moment matrix to be positive definite: determinant at or below
     SINGULARITY_TOL times its natural scale (collinear or degenerate
     auxiliaries), or negative (an indefinite quadratic with no interior
-    minimum), is an error.
+    minimum), is an error. Solved once per MomentSet instance, kept in its
+    __dict__ (which ==, hash, repr and asdict never read); an error is not kept.
     """
+    memo = vars(m)
+    if "_optimum" not in memo:
+        memo["_optimum"] = _solve_optimum(m)
+    return memo["_optimum"]
+
+
+def _solve_optimum(m: MomentSet) -> tuple[float, float]:
     if m.census:
         raise NumericalError("moment system degenerate: census design (every f_h = 0), "
                              "the tuning optimum is undefined")
@@ -229,9 +241,15 @@ def optimal_m(m: MomentSet) -> tuple[float, float]:
 
 
 def min_mse_tp(m: MomentSet) -> MseBreakdown:
-    """mse_tp evaluated at the solved optimum."""
+    """mse_tp at the solved optimum; pre_table reads its MSE without the breakdown."""
     m1, m2 = optimal_m(m)
     return mse_tp(m, m1, m2)
+
+
+def _tuned_optimum(m: MomentSet) -> tuple[float, float, float]:
+    """(m1*, m2*, MSE there): min_mse_tp's m1, m2 and mse, with no breakdown."""
+    m1, m2 = optimal_m(m)
+    return m1, m2, _tp_terms(m, m1, m2)[0]
 
 
 @dataclass(frozen=True)
@@ -263,10 +281,11 @@ class TpDiagnostics:
 
 
 def tp_diagnostics(m: MomentSet, m1: float, m2: float) -> TpDiagnostics:
-    """Side-by-side comparison of implemented and as-printed tp formulas."""
-    bd = mse_tp(m, m1, m2)
+    """Side-by-side comparison of implemented and as-printed tp formulas;
+    solved_m1, solved_m2 are optimal_m(m), shared with its caller, or nan."""
+    mse, p1, p2, p3 = _tp_terms(m, m1, m2)
     b1, b2 = _slopes(m)
-    printed_p1 = bd.p1  # the pure-exponent part carries no scale factors
+    printed_p1 = p1  # the pure-exponent part carries no scale factors
     printed_p2 = math.fsum(
         (b1 * b1 * m.v020, b2 * b2 * m.v002, 2.0 * b1 * b2 * m.v011)
     )
@@ -302,8 +321,7 @@ def tp_diagnostics(m: MomentSet, m1: float, m2: float) -> TpDiagnostics:
     except NumericalError:
         solved_m1 = solved_m2 = math.nan
     return TpDiagnostics(
-        m1=m1, m2=m2, implemented_mse=bd.mse,
-        p1=bd.p1, p2=bd.p2, p3=bd.p3,
+        m1=m1, m2=m2, implemented_mse=mse, p1=p1, p2=p2, p3=p3,
         printed_p1=printed_p1, printed_p2=printed_p2, printed_p3=printed_p3,
         printed_mse=printed_mse,
         solved_m1=solved_m1, solved_m2=solved_m2,

@@ -164,6 +164,18 @@ def test_pre_command_solves_the_optimum_once(summary_file, capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_mse_command_solves_the_optimum_once(summary_file, capsys, monkeypatch):
+    calls = []
+    solve = strataux.mse_theory._solve_optimum
+    monkeypatch.setattr(strataux.mse_theory, "_solve_optimum",
+                        lambda m: calls.append(m) or solve(m))
+    assert main(["mse", "--input", summary_file, "--design", DESIGN,
+                 "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["diagnostics"]["solved_m1"] == doc["optimal"]["m1"]
+    assert len(calls) == 1
+
+
 def test_census_pre_command_has_no_dominance(summary_file, capsys):
     census = ",".join(str(s.N) for s in embedded_kk2009()[0].strata)
     assert main(["pre", "--input", summary_file, "--design", census,

@@ -455,6 +455,20 @@ def test_sample_design_validation():
     assert SampleDesign(n=(4, 5)).total == 9
 
 
+def test_value_types_store_tuples_and_reject_bool_sizes():
+    design = SampleDesign(n=[3, 4])
+    assert design.n == (3, 4) and design == SampleDesign(n=(3, 4))
+    assert hash(design) == hash(SampleDesign(n=(3, 4)))
+    strata = [_stratum(), _stratum(h=2)]
+    pop = PopulationSummary(strata=strata)
+    assert pop.strata == tuple(strata) and pop == PopulationSummary(strata=tuple(strata))
+    assert hash(pop) == hash(PopulationSummary(strata=tuple(strata)))
+    for n, bad in (((True, 2), "stratum 1: .* got True"), ([3, False], "stratum 2: .* got False")):
+        with pytest.raises(InputError, match=f"{bad}$") as err:
+            SampleDesign(n=n)
+        assert "sample size must be an integer >= 1" in str(err.value)
+
+
 def test_sample_shape_validation():
     design = SampleDesign(n=(2,))
     with pytest.raises(InputError, match="sample has 1 observations"):

@@ -17,11 +17,13 @@ from strataux import (
     min_mse_tp,
     moment_set,
     mse_classic,
+    optimal_m,
     parse_microdata,
     pre_table,
     reconcile_covariances,
     reproduce_kk2009,
     summarize,
+    tp_diagnostics,
 )
 from strataux.efficiency import PUBLISHED_PRE
 
@@ -254,6 +256,61 @@ def test_equal_moment_sets_with_signed_zeros_get_their_own_reports():
     assert m == negative and hash(m) == hash(negative)
     assert pre_table(m) is not pre_table(negative)
     assert pre_table(negative) is pre_table(negative)
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    calls = []
+    solve = strataux.mse_theory._solve_optimum
+    monkeypatch.setattr(strataux.mse_theory, "_solve_optimum",
+                        lambda m: calls.append(m) or solve(m))
+    return calls
+
+
+def test_optimum_is_solved_once_per_moment_set(solves):
+    m = _fresh_moments()
+    opt = optimal_m(m)
+    report = pre_table(m)
+    dominance_report(m)
+    diag = tp_diagnostics(m, *opt)
+    assert optimal_m(m) is opt and len(solves) == 1
+    assert (report.m1_opt, report.m2_opt) == opt == (diag.solved_m1, diag.solved_m2)
+    assert report.row("exp_regression").mse == min_mse_tp(m).mse == diag.implemented_mse
+    assert len(solves) == 1
+
+
+def test_replaced_moment_set_solves_its_own_optimum(solves):
+    m = _fresh_moments()
+    opt = optimal_m(m)
+    moved = dataclasses.replace(m, v110=2 * m.v110)
+    assert optimal_m(moved) != opt and len(solves) == 2
+    assert optimal_m(dataclasses.replace(m)) == opt and len(solves) == 3
+    assert optimal_m(m) is opt and len(solves) == 3
+
+
+def test_optimum_memo_is_invisible_to_the_value():
+    m = _fresh_moments()
+    before = (dataclasses.asdict(m), repr(m), hash(m))
+    optimal_m(m)
+    tp_diagnostics(m, 1.0, 1.0)
+    assert (dataclasses.asdict(m), repr(m), hash(m)) == before
+    assert m == dataclasses.replace(m)
+
+
+def test_optimum_errors_are_not_kept(solves):
+    pop, _ = embedded_kk2009()
+    census = moment_set(pop, SampleDesign(n=tuple(s.N for s in pop.strata)))
+    collinear = dataclasses.replace(_fresh_moments(), v020=0.04, v002=0.01, v011=0.02)
+    for m, match in ((census, "census design"), (collinear, "near-singular")):
+        solves.clear()
+        messages = []
+        for _ in range(2):
+            with pytest.raises(NumericalError, match=match) as err:
+                optimal_m(m)
+            messages.append(str(err.value))
+        diag = tp_diagnostics(m, 1.0, 1.0)
+        assert math.isnan(diag.solved_m1) and math.isnan(diag.solved_m2)
+        assert messages[0] == messages[1] and len(solves) == 3
 
 
 def test_reproduction_report_structure():

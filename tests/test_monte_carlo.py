@@ -388,6 +388,25 @@ def test_draw_sample_design_mismatch(small_population):
         draw_sample(micro, SampleDesign(n=(41, 5)), master_seed=0)
 
 
+def test_design_errors_name_the_first_bad_stratum_on_every_path():
+    micro, pop = generate_population(_config(sizes=(40, 60, 30)))
+    paths = (
+        lambda d: moment_set(pop, d),
+        lambda d: draw_sample(micro, d, master_seed=0),
+        lambda d: run_simulation(micro, d, R=10, master_seed=0),
+    )
+    for n, message in (
+        ((5, 61, 31), "stratum 2: sample size 61 exceeds population size 60"),
+        ((41, 5, 31), "stratum 1: sample size 41 exceeds population size 40"),
+        ((5, 5), "design has 2 strata but population has 3"),
+        ((5, 5, 5, 5), "design has 4 strata but population has 3"),
+    ):
+        for path in paths:
+            with pytest.raises(InputError) as err:
+                path(SampleDesign(n=n))
+            assert str(err.value) == message
+
+
 def test_inclusion_is_uniform_across_streams():
     micro = Microdata(labels=("A",), arrays=(((0.0, 1.0, 1.0), (1.0, 2.0, 2.0)),))
     design = SampleDesign(n=(1,))
