@@ -21,10 +21,11 @@ import csv
 import io
 import json
 import math
+import warnings
 from array import array
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from functools import cached_property
-from itertools import chain, islice
+from itertools import chain
 from operator import le
 from typing import Iterator, Optional, Sequence
 
@@ -293,65 +294,142 @@ class StratifiedSample:
                 and _same_records(self.observations, other.observations))
 
 
-# records parse_microdata converts at a time: below the garbage collector's
-# default generation-0 threshold (700), so a chunk's row lists are freed
-# before a collection would scan them
-_CHUNK = 512
 # fewest characters of CSV text in one io.StringIO slice of parse_microdata:
 # 256 KiB as UCS4, where one StringIO of the whole text costs 4 bytes a character
 _SPAN = 1 << 16
+
+# read by numpy.loadtxt, refused by the format: NUL (by csv.reader before Python
+# 3.11) and \x1c-\x1f (loadtxt strips them from values as whitespace, float() does not)
+_LOADTXT_ONLY = "\0\x1c\x1d\x1e\x1f"
 
 
 def parse_microdata(text: str) -> Microdata:
     """Parse a delimited table with header ``stratum,y,x,z`` into Microdata.
 
-    csv.reader tokenizes the lines of _lines(text). Each chunk of _CHUNK
-    records is transposed and converted with float(); a chunk failing any
-    check is walked by _check_records, so the error names the first bad
-    record ("line N" counts records, blank ones too). One stable sort of
-    label codes groups the strata in first-appearance order.
+    _read_table reads a well-formed table with numpy.loadtxt's C reader, which
+    gives each value float()'s double; any other input goes to _read_records,
+    the csv.reader loop that defines the format and its errors ("line N" counts
+    records, blank ones too). A stable sort of label codes groups the strata.
     """
     import numpy as np
-    failure: list[str] = []
-    records = _records(csv.reader(_lines(text)), failure)
-    line, header = 0, None  # records read so far; the first nonblank one
-    for line, cells in enumerate(records, start=1):
-        if cells:
-            header = [c.strip() for c in cells]
-            break
-    if header is None:
-        raise InputError(f"line {line + 1}: {failure[0]}" if failure
-                         else "empty input: expected header stratum,y,x,z")
-    if header != ["stratum", "y", "x", "z"]:
-        raise InputError(f"bad header {','.join(header)!r}: expected stratum,y,x,z")
-
-    codes: dict[str, int] = {}  # label -> code, in first-appearance order
-    record_codes, blocks = array("q"), []
-    while chunk := list(islice(records, _CHUNK)):
-        rows = list(filter(None, chunk))
-        if rows:
-            columns = _columns(rows)
-            if columns is None:
-                _check_records(chunk, line + 1)  # raises: the checks agree
-            labels, values = columns
-            for label in dict.fromkeys(labels):
-                codes.setdefault(label, len(codes))
-            record_codes.extend(map(codes.__getitem__, labels))
-            blocks.append(values)
-        line += len(chunk)
-    if failure:
-        raise InputError(f"line {line + 1}: {failure[0]}")
-    if not codes:
+    labels, key, values = _read_table(text) or _read_records(text)
+    if not labels:
         raise InputError("no records")
-    key = np.frombuffer(record_codes, dtype=np.int64)
     sizes = np.bincount(key).tolist()
-    for label, size in zip(codes, sizes):
+    for label, size in zip(labels, sizes):
         if size < 2:
             raise InputError(f"stratum {label!r} has {size} record(s); need at least 2")
-    values = np.concatenate(blocks, axis=1)
-    del blocks  # so the sort's copy is the only other one alive
-    values = values.T[np.argsort(key, kind="stable")]
-    return Microdata(tuple(codes), tuple(np.split(values, np.cumsum(sizes)[:-1])))
+    values = values[np.argsort(key, kind="stable")]
+    return Microdata(labels, tuple(np.split(values, np.cumsum(sizes)[:-1])))
+
+
+def _read_table(text: str) -> Optional[tuple[tuple[str, ...], np.ndarray, np.ndarray]]:
+    """_read_records(text), read by numpy.loadtxt; None unless that is exact: no
+    CR outside a CRLF, the header record, then nonblank lines that are each one
+    record of at most csv.field_size_limit() characters with a label and
+    finite values."""
+    import numpy as np
+    # a lone CR splits a line into two loadtxt rows, where csv.reader refuses it
+    if any(c in text for c in _LOADTXT_ONLY) or (
+            "\r" in text and text.count("\r") != text.count("\r\n")):
+        return None
+    lines = _lines(text)
+    try:  # the first nonblank record; csv.reader reads no line past it
+        header = next(filter(None, csv.reader(lines)), None)
+    except csv.Error:
+        return None
+    if header is None or [c.strip() for c in header] != ["stratum", "y", "x", "z"]:
+        return None
+    codes, nonblank = _LabelCodes(), []
+    try:
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+            table = np.loadtxt(  # encoding=None hands the converter str, as numpy 2 does
+                _short_lines(lines, nonblank), dtype=[("code", "i8"), ("values", "f8", (3,))],
+                comments=None, delimiter=",", quotechar='"', encoding=None,
+                converters={0: codes.__getitem__}, ndmin=1)
+    except ValueError:
+        return None
+    key, values = table["code"], table["values"]
+    if nonblank != [len(table)] or not np.isfinite(values).all():
+        return None
+    return tuple(codes.labels), key, values
+
+
+class _LabelCodes(dict):
+    """Label field as read -> code of its stripped label, in first-appearance
+    order (labels); a field seen before is a plain dict lookup."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.labels: dict[str, int] = {}
+
+    def __missing__(self, field: str) -> int:
+        if not (label := field.strip()):
+            raise ValueError("empty stratum label")
+        self[field] = code = self.labels.setdefault(label, len(self.labels))
+        return code
+
+
+def _short_lines(lines: Iterator[str], nonblank: list[int]) -> Iterator[str]:
+    """lines, ended by a ValueError at one longer than csv.field_size_limit();
+    at their end nonblank gets the number of lines that are not a bare break."""
+    limit, n, blank = csv.field_size_limit(), 0, 0
+    for n, line in enumerate(lines, start=1):
+        if len(line) > limit:
+            raise ValueError("line longer than the csv field size limit")
+        if len(line) < 3:
+            blank += line in ("\n", "\r\n")
+        yield line
+    nonblank.append(n - blank)
+
+
+def _read_records(text: str) -> tuple[tuple[str, ...], np.ndarray, np.ndarray]:
+    """Labels, each record's label code and the (n, 3) values, read record by
+    record with csv.reader, or the InputError naming the first bad record."""
+    import numpy as np
+    isfinite = math.isfinite
+    line, header, codes, key, values = 0, None, _LabelCodes(), array("q"), array("d")
+    try:
+        for line, cells in enumerate(csv.reader(_lines(text)), start=1):
+            if not cells:  # line: records read so far
+                continue
+            if header is None:
+                header = [c.strip() for c in cells]
+                if header != ["stratum", "y", "x", "z"]:
+                    raise InputError(f"bad header {','.join(header)!r}: expected stratum,y,x,z")
+                continue
+            try:
+                field, y, x, z = cells
+                y, x, z = float(y), float(x), float(z)
+                key.append(codes[field])
+            except ValueError:
+                raise _bad_record(line, cells) from None
+            if not (isfinite(y) and isfinite(x) and isfinite(z)):
+                raise _bad_record(line, cells)
+            values.extend((y, x, z))
+    except csv.Error as e:
+        raise InputError(f"line {line + 1}: malformed CSV record: {e}") from None
+    if header is None:
+        raise InputError("empty input: expected header stratum,y,x,z")
+    return (tuple(codes.labels), np.frombuffer(key, dtype=np.int64),
+            np.frombuffer(values).reshape(-1, 3))
+
+
+def _bad_record(line: int, cells: list[str]) -> InputError:
+    """The error of record line, which _read_records could not take: the first
+    of a wrong field count, an empty label, a non-number, a non-finite value."""
+    if len(cells) != 4:
+        return InputError(f"line {line}: expected 4 fields, got {len(cells)}")
+    if not cells[0].strip():
+        return InputError(f"line {line}: empty stratum label")
+    for name, cell in zip("yxz", cells[1:]):
+        try:
+            v = float(cell)
+        except ValueError:
+            return InputError(f"line {line}: non-numeric value {cell.strip()!r} in column {name}")
+        if not math.isfinite(v):
+            return InputError(f"line {line}: non-finite value in column {name}")
 
 
 def _lines(text: str) -> Iterator[str]:
@@ -365,52 +443,6 @@ def _lines(text: str) -> Iterator[str]:
             yield text[start:end]
             start = end
     return chain.from_iterable(map(io.StringIO, slices()))
-
-
-def _records(reader, failure: list) -> Iterator[list[str]]:
-    """The reader's records, ended by a csv.Error, which goes to failure."""
-    try:
-        yield from reader
-    except csv.Error as e:
-        failure.append(f"malformed CSV record: {e}")
-
-
-def _columns(rows: list[list[str]]) -> Optional[tuple[list[str], np.ndarray]]:
-    """Nonblank records' stripped labels and (3, n) float64 values, or None
-    when a record fails a check of _check_records."""
-    import numpy as np
-    if set(map(len, rows)) != {4}:
-        return None
-    labels, *cells = zip(*rows)
-    labels = list(map(str.strip, labels))
-    try:
-        values = np.array([list(map(float, c)) for c in cells])
-    except ValueError:
-        return None
-    if "" in labels or not np.isfinite(values).all():
-        return None
-    return labels, values
-
-
-def _check_records(chunk: Sequence[list[str]], first_line: int) -> None:
-    """Raise the InputError of the first bad record in chunk, whose first
-    record is line first_line; blank records are skipped."""
-    for lineno, cells in enumerate(chunk, start=first_line):
-        if not cells:
-            continue
-        if len(cells) != 4:
-            raise InputError(f"line {lineno}: expected 4 fields, got {len(cells)}")
-        if not cells[0].strip():
-            raise InputError(f"line {lineno}: empty stratum label")
-        for name, cell in zip(("y", "x", "z"), cells[1:]):
-            try:
-                v = float(cell)
-            except ValueError:
-                raise InputError(
-                    f"line {lineno}: non-numeric value {cell.strip()!r} in column {name}"
-                ) from None
-            if not math.isfinite(v):
-                raise InputError(f"line {lineno}: non-finite value in column {name}")
 
 
 # (i, j) column pairs of the squared deviations and the cross products

@@ -71,7 +71,7 @@ def test_parse_microdata_errors_name_the_spot():
         parse_microdata("stratum,y,x,z\nA,one,2,3\nA,4,5,6\n")
     with pytest.raises(InputError, match="non-finite value in column y"):
         parse_microdata("stratum,y,x,z\nA,nan,2,3\nA,4,5,6\n")
-    # the blank record counts as a line, though _check_records skips it
+    # the blank record counts as a line, though it is skipped
     with pytest.raises(InputError, match="line 4: non-numeric value 'x' in column y"):
         parse_microdata("stratum,y,x,z\nA,1,2,3\n\nA,x,2,3\n")
     with pytest.raises(InputError, match="no records"):
@@ -82,8 +82,14 @@ def test_parse_microdata_errors_name_the_spot():
 
 def _reference_parse(text):
     """The record-at-a-time parser that parse_microdata replaced, kept as
-    its oracle: (labels, groups of (y, x, z) tuples) or its InputError."""
-    rows = list(csv.reader(io.StringIO(text)))
+    its oracle: (labels, groups of (y, x, z) tuples) or its InputError. A
+    csv.Error ends the records and is reported after the records before it."""
+    rows, failure = [], None
+    try:
+        for row in csv.reader(io.StringIO(text)):
+            rows.append(row)
+    except csv.Error as e:
+        failure = InputError(f"line {len(rows) + 1}: malformed CSV record: {e}")
     line = 0
     header = None
     while line < len(rows):
@@ -92,7 +98,7 @@ def _reference_parse(text):
             break
         line += 1
     if header is None:
-        raise InputError("empty input: expected header stratum,y,x,z")
+        raise failure or InputError("empty input: expected header stratum,y,x,z")
     if header != ["stratum", "y", "x", "z"]:
         raise InputError(f"bad header {','.join(header)!r}: expected stratum,y,x,z")
 
@@ -124,6 +130,8 @@ def _reference_parse(text):
             groups[label] = []
         groups[label].append((values[0], values[1], values[2]))
 
+    if failure:
+        raise failure
     if not labels:
         raise InputError("no records")
     for label in labels:
@@ -156,15 +164,19 @@ _LABELS = ("A", " B ", "h01", '"C,1"', '"D\nE"', '" F "', "7")
 _NUMBERS = ("1", "-2.5", "+.5", "1_000", " 3e2 ", "1E-3", "-0", "0.1", "12345678.9")
 
 
-def _random_csv(rnd, n_records, newline="\n"):
+def _random_csv(rnd, n_records, newline="\n", well_formed=False):
     """A CSV of interleaved strata with blank lines, quoted labels holding
-    commas or newlines, padded labels and underscore or signed floats."""
-    labels = rnd.sample(_LABELS, rnd.randint(1, len(_LABELS)))
+    commas or newlines, padded labels and underscore or signed floats; when
+    well_formed, one that numpy.loadtxt reads: no newline in a label, no
+    underscore in a number."""
+    pool = [c for c in _LABELS if not (well_formed and "\n" in c)]
+    numbers = [c for c in _NUMBERS if not (well_formed and "_" in c)]
+    labels = rnd.sample(pool, rnd.randint(1, len(pool)))
     lines = ["", "stratum,y,x,z"] if rnd.random() < 0.3 else ["stratum,y,x,z"]
     for _ in range(n_records):
         if rnd.random() < 0.1:
             lines.append("")
-        values = [rnd.choice(_NUMBERS) if rnd.random() < 0.5 else repr(rnd.gauss(50, 20))
+        values = [rnd.choice(numbers) if rnd.random() < 0.5 else repr(rnd.gauss(50, 20))
                   for _ in range(3)]
         lines.append(",".join([rnd.choice(labels), *values]))
     return newline.join(lines) + newline
@@ -189,23 +201,30 @@ def test_line_source_yields_the_stringio_lines(monkeypatch):
 
 
 def test_parse_microdata_matches_the_record_parser_on_random_csvs(monkeypatch):
-    rnd = random.Random(2024)
-    for chunk in (1, 3, 7, data_model._CHUNK):
-        monkeypatch.setattr(data_model, "_CHUNK", chunk)
-        for span in _SPANS:
-            monkeypatch.setattr(data_model, "_SPAN", span)
-            for _ in range(25):
-                newline = rnd.choice(("\n", "\r\n"))
-                text = _random_csv(rnd, rnd.randint(2, 40), newline)
-                _assert_parses_like_reference(text)
+    rnd, rnd_well_formed = random.Random(2024), random.Random(2025)
+    for span in _SPANS:
+        monkeypatch.setattr(data_model, "_SPAN", span)
+        for _ in range(100):
+            newline = rnd.choice(("\n", "\r\n"))
+            text = _random_csv(rnd, rnd.randint(2, 40), newline)
+            _assert_parses_like_reference(text)
+        for _ in range(100):  # each read by numpy.loadtxt, not the record loop
+            newline = rnd_well_formed.choice(("\n", "\r\n"))
+            text = _random_csv(rnd_well_formed, rnd_well_formed.randint(2, 40), newline,
+                               well_formed=True)
+            _assert_parses_like_reference(text)
+            assert data_model._read_table(text) is not None, text
 
 
 def test_parse_microdata_matches_the_record_parser_across_chunks():
-    chunk = data_model._CHUNK
-    rnd = random.Random(5)
+    chunk = 512  # the records an earlier parser converted at a time
+    rnd, rnd_well_formed = random.Random(5), random.Random(6)
     for n_records in (chunk - 1, chunk, chunk + 1, 2 * chunk + 3):
         text = _random_csv(rnd, n_records)
         _assert_parses_like_reference(text)
+        text = _random_csv(rnd_well_formed, n_records, well_formed=True)
+        _assert_parses_like_reference(text)
+        assert data_model._read_table(text) is not None
     # a bad record in the second chunk, after blank lines
     lines = ["stratum,y,x,z", ""] + [f"S,{i},{2 * i + 1},{i % 7}" for i in range(chunk + 5)]
     lines[chunk + 3] = "S,1,oops,2"
@@ -221,24 +240,22 @@ def test_parse_microdata_reports_the_oracles_first_error(monkeypatch):
         "overflow": "T,1,1e999,3", "whitespace": "   ",
     }
     rnd = random.Random(11)
-    for chunk in (2, 3, data_model._CHUNK):
-        monkeypatch.setattr(data_model, "_CHUNK", chunk)
-        for span in _SPANS:
-            monkeypatch.setattr(data_model, "_SPAN", span)
-            for kind, record in bad.items():
-                for at in range(len(good) + 1):
-                    text = "\n".join(["stratum,y,x,z", *good[:at], record, *good[at:]]) + "\n"
-                    assert _assert_parses_like_reference(text) is not None, kind
-            # two bad records: the one earlier in the file wins, chunks apart or not
-            for _ in range(40):
-                first, second = rnd.sample(sorted(bad), 2)
-                lines = ["stratum,y,x,z", *good]
-                i, j = sorted(rnd.sample(range(1, 12), 2))
-                lines[i:i] = [bad[first]]
-                lines[j:j] = [bad[second]]
-                _assert_parses_like_reference("\n".join(lines) + "\n")
-    # a non-finite value early, a field-count error chunks later
-    monkeypatch.setattr(data_model, "_CHUNK", 2)
+    for span in _SPANS:
+        monkeypatch.setattr(data_model, "_SPAN", span)
+        for kind, record in bad.items():
+            for at in range(len(good) + 1):
+                text = "\n".join(["stratum,y,x,z", *good[:at], record, *good[at:]]) + "\n"
+                assert _assert_parses_like_reference(text) is not None, kind
+                assert data_model._read_table(text) is None, kind  # numpy.loadtxt refused it
+        # two bad records: the one earlier in the file wins
+        for _ in range(120):
+            first, second = rnd.sample(sorted(bad), 2)
+            lines = ["stratum,y,x,z", *good]
+            i, j = sorted(rnd.sample(range(1, 12), 2))
+            lines[i:i] = [bad[first]]
+            lines[j:j] = [bad[second]]
+            _assert_parses_like_reference("\n".join(lines) + "\n")
+    # a non-finite value early, a field-count error records later
     text = "stratum,y,x,z\nS,1,2,3\nS,inf,2,3\n" + "S,1,2,3\n" * 6 + "S,1,2\n"
     assert _assert_parses_like_reference(text) == "line 3: non-finite value in column y"
     for text in ("", "\n\n", "a,b,c,d\n1,2,3,4\n", "stratum,y,x,z\n", "stratum,y,x,z\n\n",
@@ -249,18 +266,65 @@ def test_parse_microdata_reports_the_oracles_first_error(monkeypatch):
 def test_parse_microdata_peak_memory_stays_under_twice_the_text():
     # 10 strata x 2 000 records of repr floats, about 1.2 MB of text: the parse
     # traced 4.9x the text's length when csv.reader read one io.StringIO of it
-    # (UCS4, four bytes a character) and 1.1x from slices of _SPAN characters
+    # (UCS4, four bytes a character) and 1.1x from slices of _SPAN characters.
+    # One 1_0 value halfway sends the text from numpy.loadtxt to the record loop.
     rnd = random.Random(9)
     text = "stratum,y,x,z\n" + "".join(
         f"s{h},{rnd.gauss(50, 9)!r},{rnd.gauss(80, 14)!r},{rnd.gauss(60, 11)!r}\n"
         for h in range(10) for _ in range(2000))
-    tracemalloc.start()
-    try:
-        parse_microdata(text)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2 * len(text), (peak, len(text))
+    half = text.index("\n", len(text) // 2) + 1
+    for text in (text, text[:half] + "s4,1_0,2,3\n" + text[half:]):
+        tracemalloc.start()
+        try:
+            parse_microdata(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * len(text), (peak, len(text))
+
+
+def test_parse_microdata_matches_the_record_parser_on_reader_traps():
+    # inputs on which numpy.loadtxt and csv.reader with float() part ways, or
+    # nearly: loadtxt must read the second group, and refuse the first
+    limit = csv.field_size_limit()
+    good = "stratum,y,x,z\nA,1,2,3\nA,4,5,6\n"
+    refused = {
+        "long label": good + "B" * (limit + 1) + ",1,2,3\nB,1,2,3\n",
+        "long number": good + "A,0." + "0" * limit + "1,2,3\n",
+        "long quoted number over lines": good + 'A,"' + "\n" * limit + ' 1",2,3\n',
+        "multi-line label": 'stratum,y,x,z\n"D\nE",1,2,3\n"D\nE",4,5,6\n',
+        "underscore": good + "A,1_000,2,3\n",
+        "arabic digits": good + "A,\u0661\u0662,2,3\n",
+        "lone CR": good + "A,1,2\r3\n",
+        "lone CR ending a record": good + "A,1,2,3\rA,4,5,6\n",
+        # as many lone-CR splits as multi-line labels: as many rows as nonblank lines
+        "lone CRs and multi-line labels": 'stratum,y,x,z\nA,1,2,3\rA,4,5,6\n"D\nE",1,2,3\n'
+                                          'B,1,2,3\rB,4,5,6\n"D\nE",4,5,6\n',
+        # read alike by both, but kept from loadtxt with every other lone CR
+        "lone CR in a quoted label": good + '"A\rB",1,2,3\n"A\rB",4,5,6\n',
+        "NUL label": good + "A\0B,1,2,3\nA\0B,1,2,3\n",
+        "NUL value": good + "A,1\0,2,3\n",
+        "separator as whitespace": good + "A,\x1c1,2,3\n",
+        "space before a quote": good + 'A, "1.5",2,3\n',
+        "empty label": good + '"  ",1,2,3\n',
+    }
+    read = {  # parse_microdata checks the strata's sizes after either reader
+        "header only": "stratum,y,x,z\n",
+        "padded header": " stratum , y,x ,z\nA,1,2,3\nA,4,5,6\n",
+        "quoted header": '"stratum","y",x," z"\r\nA,1,2,3\r\nA,4,5,6\r\n',
+        "blank lines before the header": "\r\n\nstratum,y,x,z\r\n\r\n\n",
+        "header over two lines": '"stratum\n",y,x,z\nA,1,2,3\nA,4,5,6\n',
+        "one record": "stratum,y,x,z\nA,1,2,3\n",
+        "quote then text": 'stratum,y,x,z\n"a"b,1,2,3\nab,4,5,6\n',
+        "hash label": "stratum,y,x,z\n#a,1,2,3\n#a,4,5,6\n",
+        "quoted labels and values": 'stratum,y,x,z\n"C,1","2" ,3,4\n" C,1 ",5,"6",7\n',
+        "crlf": good.replace("\n", "\r\n") + "\r\n",
+        "blank lines, no final newline": good.replace("\n", "\n\n").rstrip(),
+        "padded": "stratum,y,x,z\n A ,\t1 , 3e2 ,+.5\nA,\u20031,-0,1.\n",
+    }
+    for kind, text in {**refused, **read}.items():
+        _assert_parses_like_reference(text)
+        assert (data_model._read_table(text) is None) == (kind in refused), kind
 
 
 def test_csv_tokenizer_errors_name_the_record():
