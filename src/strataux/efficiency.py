@@ -23,7 +23,8 @@ from .data_model import (
 )
 from .moments import MomentSet, moment_set
 from .mse_theory import (
-    _NEGATIVE_MSE_WARNING, ESTIMATOR_ORDER, _tuned_optimum, mse_classic, variance_mean,
+    _NEGATIVE_MSE_WARNING, ESTIMATOR_ORDER, _quadratic, mse_classic, optimal_m, row_point,
+    variance_mean,
 )
 
 # Reference PRE values published for the embedded six-stratum dataset, in
@@ -138,8 +139,8 @@ def _pre_report(m: MomentSet) -> PreReport:
         )
         return PreReport(rows=rows)
 
-    m1, m2, tuned = _tuned_optimum(m)
-    rows = _pre_rows(m, tuned)
+    m1, m2 = optimal_m(m)
+    rows = _pre_rows(m, _quadratic(m, *row_point(m, "exp_regression", m1, m2)))
     notes = {"ratio": "ratio form is not nested in the tuned estimator; first-order gap negative"}
     if m.regression_residual is not None:
         notes["regression"] = ("regression MSE uses the correlation-based residual form, "

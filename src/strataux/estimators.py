@@ -32,7 +32,7 @@ from .data_model import (
     StratifiedSample,
     check_number,
 )
-from .moments import design_factors
+from .moments import _fractions
 from .mse_theory import ESTIMATOR_ORDER, FAMILY
 
 
@@ -54,14 +54,14 @@ def sample_statistics(
     pop's exactly and its slopes 0, which the corrections they multiply
     ignore; its picks are not read.
     """
-    factors = design_factors(pop, design)
+    fractions = _fractions(pop, design)
     B = len(picks[0])
-    if all(f == 0.0 for _, f in factors):
+    if all(f == 0.0 for f in fractions):
         return np.repeat([[pop.ybar], [pop.xbar], [pop.zbar]], B, axis=1), np.zeros(B), np.zeros(B)
     means = np.zeros((3, B))
     sums = np.zeros((4, B))  # sum_h W_h^2 f_h (s_yx, s_xx, s_yz, s_zz)
     products = np.empty((4, B))
-    for vals, idx, n_h, (w, f) in zip(values, picks, design.n, factors):
+    for vals, idx, n_h, w, f in zip(values, picks, design.n, pop.weights, fractions):
         sample = np.take(vals, idx, axis=1)
         m = np.add.reduce(sample, -1)  # np.mean's sum and division: the same bits
         m /= n_h

@@ -9,7 +9,7 @@ consumes, so they are bundled into one value type.
 """
 from __future__ import annotations
 
-__all__ = ["MomentSet", "design_factors", "moment_set"]
+__all__ = ["MomentSet", "moment_set"]
 
 import math
 from dataclasses import dataclass
@@ -54,13 +54,6 @@ class MomentSet:
     census: bool = False
     regression_residual: Optional[float] = None
     warnings: tuple[str, ...] = ()
-
-
-def design_factors(
-    pop: PopulationSummary, design: SampleDesign
-) -> tuple[tuple[float, float], ...]:
-    """Per-stratum (W_h, f_h) with W_h = N_h/N and f_h = 1/n_h - 1/N_h."""
-    return tuple(zip(pop.weights, _fractions(pop, design)))
 
 
 def _fractions(pop: PopulationSummary, design: SampleDesign) -> list[float]:

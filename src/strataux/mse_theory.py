@@ -1,10 +1,10 @@
 """The estimator table, first-order MSE and bias formulas, optimal tuning,
 and diagnostics; everything here but the table is a function of a MomentSet,
 and nothing here needs numpy. mse_row is the theory of one (estimator, m1,
-m2) row of the simulator's kernel. The tuned estimator's MSE is an exact
-quadratic in its two exponent parameters once written in the shifted
-coordinates a1 = m1/2 + D1, a2 = m2/2 + D2, with D1 = b1*Xbar/Ybar and
-D2 = b2*Zbar/Ybar:
+m2) row of the simulator's kernel, and row_point maps that row to its point
+of the quadratic below. The tuned estimator's MSE is an exact quadratic in
+its two exponent parameters once written in the shifted coordinates
+a1 = m1/2 + D1, a2 = m2/2 + D2, with D1 = b1*Xbar/Ybar and D2 = b2*Zbar/Ybar:
 
     MSE = Ybar^2 * [v200 + a1^2 v020 + a2^2 v002 + 2 a1 a2 v011
                     - 2 a1 v110 - 2 a2 v101]
@@ -116,33 +116,42 @@ def _quadratic(m: MomentSet, a1: float, a2: float) -> float:
     )
 
 
+def row_point(m: MomentSet, estimator: str, m1: Optional[float] = None,
+              m2: Optional[float] = None) -> tuple[float, float]:
+    """The row's point (a1, a2) of the tuned quadratic, the one map from an
+    estimate_rows row to it: a_i = m_i/2 from FAMILY (the caller's m1, m2
+    for exp_regression), plus D_i on the slope-bearing rows."""
+    if estimator == "exp_regression":
+        check_number("m1", m1)
+        check_number("m2", m2)
+        slopes = True
+    else:
+        f1, f2, slopes = FAMILY[estimator]
+        m1, m2 = f1 or 0.0, f2 or 0.0
+    d1, d2 = _d_terms(m) if slopes else (0.0, 0.0)
+    return 0.5 * m1 + d1, 0.5 * m2 + d2
+
+
 def mse_classic(estimator: str, m: MomentSet) -> float:
     """First-order MSE of one of the non-tuned estimators.
 
-    Each is the tuned quadratic at the estimator's point of the family
-    (FAMILY): a_i = m_i/2, plus D_i for the slope-bearing
-    regression estimator. The coefficients are powers of two, so these are
-    the same bits as the estimators' own expansions. The regression
-    estimator uses the correlation-based aggregate residual when the
-    MomentSet carries one (it does whenever it came from moment_set); for
-    raw MomentSets the slope-based quadratic at a = (D1, D2) is the
-    fallback.
+    Each is the tuned quadratic at the estimator's point (row_point). The
+    coefficients are powers of two, so these are the same bits as the
+    estimators' own expansions. The regression estimator uses the
+    correlation-based aggregate residual when the MomentSet carries one (it
+    does whenever it came from moment_set); for raw MomentSets the
+    slope-based quadratic at a = (D1, D2) is the fallback.
     """
     if estimator not in FAMILY:
         raise InputError(f"no closed-form MSE for estimator {estimator!r}")
     if estimator == "regression" and m.regression_residual is not None:
         return m.regression_residual
-    m1, m2, slopes = FAMILY[estimator]
-    d1, d2 = _d_terms(m) if slopes else (0.0, 0.0)
-    return _quadratic(m, 0.5 * (m1 or 0.0) + d1, 0.5 * (m2 or 0.0) + d2)
+    return _quadratic(m, *row_point(m, estimator))
 
 
 def _tp_terms(m: MomentSet, m1: float, m2: float) -> tuple[float, float, float, float]:
     """(mse, p1, p2, p3) of the tuned estimator at (m1, m2), as in mse_tp."""
-    check_number("m1", m1)
-    check_number("m2", m2)
-    d1, d2 = _d_terms(m)
-    mse = _quadratic(m, 0.5 * m1 + d1, 0.5 * m2 + d2)
+    mse = _quadratic(m, *row_point(m, "exp_regression", m1, m2))
 
     b1, b2 = _slopes(m)
     bx = b1 * m.xbar
@@ -162,21 +171,19 @@ def _tp_terms(m: MomentSet, m1: float, m2: float) -> tuple[float, float, float, 
 
 def mse_tp(m: MomentSet, m1: float, m2: float) -> MseBreakdown:
     """First-order MSE of the tuned exponential-regression estimator."""
-    mse, p1, p2, p3 = _tp_terms(m, m1, m2)
-    return MseBreakdown(
-        estimator="exp_regression", mse=mse, m1=m1, m2=m2,
-        p1=p1, p2=p2, p3=p3, bias=bias_tp(m, m1, m2),
-        warning=_NEGATIVE_MSE_WARNING if mse < 0.0 else None,
-    )
+    return mse_row(m, "exp_regression", m1, m2)
 
 
 def mse_row(m: MomentSet, estimator: str, m1: Optional[float] = None,
             m2: Optional[float] = None) -> MseBreakdown:
     """First-order theory of the estimate_rows row (estimator, m1, m2)."""
     if estimator == "exp_regression":
-        return mse_tp(m, m1, m2)
-    mse = mse_classic(estimator, m)
-    return MseBreakdown(estimator, mse, warning=_NEGATIVE_MSE_WARNING if mse < 0.0 else None)
+        mse, p1, p2, p3 = _tp_terms(m, m1, m2)
+        tuning = dict(m1=m1, m2=m2, p1=p1, p2=p2, p3=p3, bias=bias_tp(m, m1, m2))
+    else:
+        mse, tuning = mse_classic(estimator, m), {}
+    return MseBreakdown(estimator, mse, **tuning,
+                        warning=_NEGATIVE_MSE_WARNING if mse < 0.0 else None)
 
 
 def bias_tp(m: MomentSet, m1: float, m2: float) -> float:
@@ -241,15 +248,9 @@ def _solve_optimum(m: MomentSet) -> tuple[float, float]:
 
 
 def min_mse_tp(m: MomentSet) -> MseBreakdown:
-    """mse_tp at the solved optimum; pre_table reads its MSE without the breakdown."""
+    """mse_tp at the solved optimum."""
     m1, m2 = optimal_m(m)
     return mse_tp(m, m1, m2)
-
-
-def _tuned_optimum(m: MomentSet) -> tuple[float, float, float]:
-    """(m1*, m2*, MSE there): min_mse_tp's m1, m2 and mse, with no breakdown."""
-    m1, m2 = optimal_m(m)
-    return m1, m2, _tp_terms(m, m1, m2)[0]
 
 
 @dataclass(frozen=True)

@@ -151,13 +151,9 @@ def test_pre_command_json_includes_dominance(summary_file, capsys):
 
 def test_pre_command_solves_the_optimum_once(summary_file, capsys, monkeypatch):
     calls = []
-    solve = strataux.mse_theory.optimal_m
-
-    def counted(m):
-        calls.append(m)
-        return solve(m)
-
-    monkeypatch.setattr(strataux.mse_theory, "optimal_m", counted)
+    solve = strataux.mse_theory._solve_optimum
+    monkeypatch.setattr(strataux.mse_theory, "_solve_optimum",
+                        lambda m: calls.append(m) or solve(m))
     assert main(["pre", "--input", summary_file, "--design", DESIGN,
                  "--format", "json"]) == 0
     assert len(json.loads(capsys.readouterr().out)["dominance"]) == 8

@@ -212,24 +212,25 @@ def _fresh_moments():
 
 
 @pytest.fixture
-def optimal_m_calls(monkeypatch):
+def solves(monkeypatch):
     calls = []
-    solve = strataux.mse_theory.optimal_m
-    monkeypatch.setattr(strataux.mse_theory, "optimal_m", lambda m: calls.append(m) or solve(m))
+    solve = strataux.mse_theory._solve_optimum
+    monkeypatch.setattr(strataux.mse_theory, "_solve_optimum",
+                        lambda m: calls.append(m) or solve(m))
     return calls
 
 
-def test_pre_report_is_built_once_per_moment_set(optimal_m_calls):
+def test_pre_report_is_built_once_per_moment_set(solves):
     m = _fresh_moments()
     report = pre_table(m)
     assert pre_table(m) is report
     assert dominance_report(m) is report.dominance
-    assert len(optimal_m_calls) == 1
+    assert len(solves) == 1
     doubled = dataclasses.replace(m, v200=2 * m.v200)
     other = pre_table(doubled)
     assert other is not report and other != report
     assert other.row("mean").mse == 2 * report.row("mean").mse
-    assert len(optimal_m_calls) == 2
+    assert len(solves) == 2
 
 
 def test_pre_report_memo_is_invisible_to_the_value():
@@ -240,14 +241,14 @@ def test_pre_report_memo_is_invisible_to_the_value():
     assert m == dataclasses.replace(m)
 
 
-def test_pre_report_errors_are_not_kept(optimal_m_calls):
+def test_pre_report_errors_are_not_kept(solves):
     collinear = dataclasses.replace(_fresh_moments(), v020=0.04, v002=0.01, v011=0.02)
     messages = []
     for _ in range(2):
         with pytest.raises(NumericalError, match="near-singular") as err:
             pre_table(collinear)
         messages.append(str(err.value))
-    assert messages[0] == messages[1] and len(optimal_m_calls) == 2
+    assert messages[0] == messages[1] and len(solves) == 2
 
 
 def test_equal_moment_sets_with_signed_zeros_get_their_own_reports():
@@ -256,15 +257,6 @@ def test_equal_moment_sets_with_signed_zeros_get_their_own_reports():
     assert m == negative and hash(m) == hash(negative)
     assert pre_table(m) is not pre_table(negative)
     assert pre_table(negative) is pre_table(negative)
-
-
-@pytest.fixture
-def solves(monkeypatch):
-    calls = []
-    solve = strataux.mse_theory._solve_optimum
-    monkeypatch.setattr(strataux.mse_theory, "_solve_optimum",
-                        lambda m: calls.append(m) or solve(m))
-    return calls
 
 
 def test_optimum_is_solved_once_per_moment_set(solves):

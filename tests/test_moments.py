@@ -10,13 +10,13 @@ from strataux import (
     PopulationSummary,
     SampleDesign,
     StratumSummary,
-    design_factors,
     embedded_kk2009,
     moment_set,
     parse_microdata,
     reconcile_covariances,
     summarize,
 )
+from strataux.moments import _fractions
 
 # Reference moments for the embedded dataset under prefer-correlation,
 # frozen from an independent plain-Python recomputation of the
@@ -46,7 +46,7 @@ def embedded_moments():
 
 def test_design_factors_embedded():
     pop, design = embedded_kk2009()
-    wf = design_factors(pop, design)
+    wf = tuple(zip(pop.weights, _fractions(pop, design)))
     assert len(wf) == 6
     w1, f1 = wf[0]
     assert w1 == 127 / 923
@@ -66,7 +66,7 @@ def test_embedded_moments_match_frozen_values(embedded_moments):
 def test_regression_residual_matches_direct_sum(embedded_moments):
     pop, design = embedded_kk2009()
     fixed, _ = reconcile_covariances(pop, "prefer-correlation")
-    wf = design_factors(fixed, design)
+    wf = zip(fixed.weights, _fractions(fixed, design))
     want = math.fsum(
         (w * w * f) * s.s_y ** 2
         * (1 - s.rho_yx ** 2 - s.rho_yz ** 2 + 2 * s.rho_yx * s.rho_yz * s.rho_xz)
@@ -80,8 +80,7 @@ def test_moments_match_direct_sum_on_small_population():
     pop = summarize(parse_microdata(text))
     design = SampleDesign(n=(2, 2))
     m = moment_set(pop, design)
-    wf = design_factors(pop, design)
-    g = [w * w * f for w, f in wf]
+    g = [w * w * f for w, f in zip(pop.weights, _fractions(pop, design))]
     ybar, xbar = pop.ybar, pop.xbar
     v200 = sum(g[i] * s.s_y ** 2 for i, s in enumerate(pop.strata)) / ybar ** 2
     v110 = sum(g[i] * s.s_yx for i, s in enumerate(pop.strata)) / (ybar * xbar)

@@ -1,13 +1,15 @@
 """Bit-for-bit oracle for the tuned theory of one design.
 
-The oracle keeps the earlier forms of three steps: g_h = W_h^2 f_h formed
-from design_factors' (W_h, f_h) pairs, the PRE report read from a whole
-min_mse_tp breakdown, and tp_diagnostics reading mse_tp and solving the
-optimum itself. Every MomentSet, PreReport and TpDiagnostics of the current
-code must have the oracle's repr, and every error the oracle's type and
-message, on seeded random summaries (with fully sampled strata, censuses,
-near-singular and indefinite moments) and on every pooled design of the
-bench's theory reference.
+The oracle keeps the earlier forms of the theory's steps: g_h = W_h^2 f_h
+formed from (W_h, f_h) pairs; each row's first-order MSE from its own copy
+of mse_classic and of mse_tp, each writing the row's point of the
+quadratic itself; the PRE report reading its tuned MSE from a separate
+_tuned_optimum; and tp_diagnostics reading mse_tp and solving the optimum
+itself. Every MomentSet, MseBreakdown of each of the nine rows, PreReport
+and TpDiagnostics of the current code must have the oracle's repr, and
+every error the oracle's type and message, on seeded random summaries
+(with fully sampled strata, censuses, near-singular and indefinite
+moments) and on every pooled design of the bench's theory reference.
 """
 import dataclasses
 import json
@@ -17,24 +19,27 @@ from operator import mul
 from pathlib import Path
 
 from strataux import (
+    InputError,
     MomentSet,
+    MseBreakdown,
     NumericalError,
     PopulationSummary,
     SampleDesign,
     StratumSummary,
-    min_mse_tp,
+    bias_tp,
     moment_set,
-    mse_tp,
     optimal_m,
     parse_summary,
     pre_table,
     reconcile_covariances,
     tp_diagnostics,
 )
-from strataux.data_model import MAX_MAGNITUDE
+from strataux.data_model import MAX_MAGNITUDE, check_number
 from strataux.efficiency import _CENSUS_WARNING, DominanceRow, PreReport, PreRow, _pre_rows
 from strataux.moments import ZERO_MEAN_GUARD
-from strataux.mse_theory import ESTIMATOR_ORDER, TpDiagnostics, _slopes
+from strataux.mse_theory import (
+    _NEGATIVE_MSE_WARNING, ESTIMATOR_ORDER, FAMILY, TpDiagnostics, mse_row,
+)
 
 BENCH_DATA = Path(__file__).resolve().parents[1] / "bench" / "data"
 
@@ -90,16 +95,92 @@ def _oracle_moment_set(pop, design):
     )
 
 
+def _slopes(m):
+    b1 = 0.0 if m.b1 is None else m.b1
+    b2 = 0.0 if m.b2 is None else m.b2
+    return b1, b2
+
+
+def _d_terms(m):
+    b1, b2 = _slopes(m)
+    return b1 * m.xbar / m.ybar, b2 * m.zbar / m.ybar
+
+
+def _quadratic(m, a1, a2):
+    return m.ybar ** 2 * math.fsum(
+        (
+            m.v200,
+            a1 * a1 * m.v020,
+            a2 * a2 * m.v002,
+            2.0 * a1 * a2 * m.v011,
+            -2.0 * a1 * m.v110,
+            -2.0 * a2 * m.v101,
+        )
+    )
+
+
+def _oracle_mse_classic(estimator, m):
+    if estimator not in FAMILY:
+        raise InputError(f"no closed-form MSE for estimator {estimator!r}")
+    if estimator == "regression" and m.regression_residual is not None:
+        return m.regression_residual
+    m1, m2, slopes = FAMILY[estimator]
+    d1, d2 = _d_terms(m) if slopes else (0.0, 0.0)
+    return _quadratic(m, 0.5 * (m1 or 0.0) + d1, 0.5 * (m2 or 0.0) + d2)
+
+
+def _oracle_tp_terms(m, m1, m2):
+    check_number("m1", m1)
+    check_number("m2", m2)
+    d1, d2 = _d_terms(m)
+    mse = _quadratic(m, 0.5 * m1 + d1, 0.5 * m2 + d2)
+
+    b1, b2 = _slopes(m)
+    bx = b1 * m.xbar
+    bz = b2 * m.zbar
+    p1 = math.fsum(
+        (0.25 * m1 * m1 * m.v020, 0.25 * m2 * m2 * m.v002,
+         0.5 * m1 * m2 * m.v011, -m1 * m.v110, -m2 * m.v101)
+    )
+    p2 = math.fsum((bx * bx * m.v020, bz * bz * m.v002, 2.0 * bx * bz * m.v011))
+    p3 = math.fsum(
+        (2.0 * bx * m.v110, 2.0 * bz * m.v101,
+         -m1 * bx * m.v020, -m2 * bz * m.v002,
+         -m1 * bz * m.v011, -m2 * bx * m.v011)
+    )
+    return mse, p1, p2, p3
+
+
+def _oracle_mse_tp(m, m1, m2):
+    mse, p1, p2, p3 = _oracle_tp_terms(m, m1, m2)
+    return MseBreakdown(
+        estimator="exp_regression", mse=mse, m1=m1, m2=m2,
+        p1=p1, p2=p2, p3=p3, bias=bias_tp(m, m1, m2),
+        warning=_NEGATIVE_MSE_WARNING if mse < 0.0 else None,
+    )
+
+
+def _oracle_mse_row(m, estimator, m1=None, m2=None):
+    if estimator == "exp_regression":
+        return _oracle_mse_tp(m, m1, m2)
+    mse = _oracle_mse_classic(estimator, m)
+    return MseBreakdown(estimator, mse, warning=_NEGATIVE_MSE_WARNING if mse < 0.0 else None)
+
+
+def _oracle_tuned_optimum(m):
+    m1, m2 = optimal_m(m)
+    return m1, m2, _oracle_tp_terms(m, m1, m2)[0]
+
+
 def _oracle_pre_report(m):
-    # _pre_rows differs from its earlier form only in taking the tuned MSE
-    # rather than the breakdown that carries it
+    # _pre_rows reads mse_classic, which mse_row's comparison covers row by row
     if m.census:
         return PreReport(rows=tuple(
             PreRow(estimator=e, mse=0.0, pre=None, rank=None,
                    delta_vs_tuned=None, warning=_CENSUS_WARNING)
             for e in ESTIMATOR_ORDER))
-    tuned = min_mse_tp(m)
-    rows = _pre_rows(m, tuned.mse)
+    m1, m2, tuned = _oracle_tuned_optimum(m)
+    rows = _pre_rows(m, tuned)
     notes = {"ratio": "ratio form is not nested in the tuned estimator; first-order gap negative"}
     if m.regression_residual is not None:
         notes["regression"] = ("regression MSE uses the correlation-based residual form, "
@@ -109,11 +190,11 @@ def _oracle_pre_report(m):
                      notes.get(r.estimator, "") if r.delta_vs_tuned < 0.0 else "")
         for r in rows if r.estimator != "exp_regression"
     )
-    return PreReport(rows=rows, dominance=dominance, m1_opt=tuned.m1, m2_opt=tuned.m2)
+    return PreReport(rows=rows, dominance=dominance, m1_opt=m1, m2_opt=m2)
 
 
 def _oracle_tp_diagnostics(m, m1, m2):
-    bd = mse_tp(m, m1, m2)
+    bd = _oracle_mse_tp(m, m1, m2)
     b1, b2 = _slopes(m)
     printed_p1 = bd.p1
     printed_p2 = math.fsum((b1 * b1 * m.v020, b2 * b2 * m.v002, 2.0 * b1 * b2 * m.v011))
@@ -205,6 +286,11 @@ def _cases():
                 yield pop, SampleDesign(n=n)
 
 
+# signed zeros, and inputs each of check_number's messages refuses, m1 first
+FIXED_TUNINGS = ((0.0, 0.0), (0.0, -0.0), (-0.0, 0.0), (-0.0, -0.0),
+                 (math.nan, 1.0), (1.0, math.inf), (math.inf, math.nan), (10 ** 400, 2e100))
+
+
 def test_tuned_theory_keeps_the_oracle_bits():
     rnd = random.Random(7)
     seen = {"census": 0, "near-singular": 0, "indefinite": 0, "solved": 0}
@@ -221,6 +307,8 @@ def test_tuned_theory_keeps_the_oracle_bits():
         # the oracle reads a fresh instance that has none
         fresh = dataclasses.replace(m)
         assert _outcome(pre_table, m) == _outcome(_oracle_pre_report, fresh), design.n
+        for e in (*FAMILY, "bogus"):
+            assert _outcome(mse_row, m, e) == _outcome(_oracle_mse_row, m, e), (e, design.n)
         try:
             tunings = [optimal_m(m)]
             seen["solved"] += 1
@@ -232,6 +320,9 @@ def test_tuned_theory_keeps_the_oracle_bits():
         for m1, m2 in tunings:
             assert (_outcome(tp_diagnostics, m, m1, m2)
                     == _outcome(_oracle_tp_diagnostics, dataclasses.replace(m), m1, m2)), design.n
+        for m1, m2 in (*tunings, *FIXED_TUNINGS):
+            assert (_outcome(mse_row, m, "exp_regression", m1, m2)
+                    == _outcome(_oracle_mse_row, m, "exp_regression", m1, m2)), (m1, m2, design.n)
     assert seen["census"] >= 3 and seen["near-singular"] >= 1 and seen["indefinite"] >= 1, seen
     # every pooled design and most random ones have an optimum
     assert seen["solved"] >= 192 + 60, seen
