@@ -313,8 +313,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m1", type=float, default=1.0, help="fixed tuning for exp_regression")
     p.add_argument("--m2", type=float, default=1.0)
     p.add_argument("--workers", type=int, default=1,
-                   help="accepted for compatibility, no effect: replicates run "
-                        "serially in fixed blocks")
+                   help="threads that run the replicate blocks, at most one per "
+                        "usable CPU (default 1); results do not depend on it")
     p.add_argument("--estimators", default="",
                    help="comma list, default all: " + ",".join(ESTIMATOR_ORDER))
     p.set_defaults(func=_cmd_simulate)

@@ -12,8 +12,9 @@ change between versions (NEP 19). Replicate r reads its own counter blocks
 of stream 0, maps each word to a range by Lemire's multiply-shift and
 selects each stratum's sample by Floyd's algorithm, never O(N_h) per
 stratum (see _draw_indices); population synthesis for stratum h uses stream
-2^63 + h. Reports depend neither on the block size nor on the ignored
-worker count, and any replicate can be re-drawn alone with draw_sample.
+2^63 + h. Reports depend neither on the block size nor on the worker
+count, nor on which thread runs which block, and any replicate can be
+re-drawn alone with draw_sample.
 Contract v1 ("philox4x64") took rng.permutation(N_h)[:n_h] per stratum
 and v2 ("philox4x64-floyd") one rng.integers call per replicate under the
 key (master_seed, r); each selects other samples than v3.
@@ -22,6 +23,8 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -51,9 +54,9 @@ _MASK64 = (1 << 64) - 1
 _POP_STREAM_BASE = 1 << 63
 GENERATOR_NAME = "philox4x64-lemire-floyd"
 # replicates per simulation block, fewer when that many would sample more
-# than _BLOCK_UNITS units: bounds the kernel's memory; results do not depend
-# on it
-_BLOCK = 256
+# than _BLOCK_UNITS units: bounds the kernel's memory per thread; results do
+# not depend on it
+_BLOCK = 384
 _BLOCK_UNITS = 1 << 16
 
 # a run fails when any estimator's non-finite replication share exceeds this
@@ -307,6 +310,18 @@ class SimulationReport:
         raise KeyError(estimator)
 
 
+def _thread_count(workers: int, blocks: int) -> int:
+    """Threads that run a simulation's blocks: workers, at most one per
+    usable CPU and one per block."""
+    if isinstance(workers, bool) or not isinstance(workers, int) or workers < 1:
+        raise InputError(f"worker count must be an integer >= 1, got {workers!r}")
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return min(workers, cpus, blocks)
+
+
 def run_simulation(
     micro: Microdata,
     design: SampleDesign,
@@ -324,8 +339,10 @@ def run_simulation(
     tuned from the realized population moments. A census design has no
     optimum, so that row is left out with a note. Non-finite estimates are
     counted per estimator and excluded from the averages; a share above
-    NONFINITE_LIMIT fails the run. workers is accepted for compatibility
-    and has no effect: replicates run serially, in blocks of at most _BLOCK.
+    NONFINITE_LIMIT fails the run. Replicates run in blocks of at most
+    _BLOCK, on _thread_count(workers, blocks) threads, the caller's among
+    them; each thread holds one block's arrays at a time. The report is the
+    same for every worker count.
     """
     if R < 1:
         raise InputError(f"replication count must be >= 1, got {R}")
@@ -355,20 +372,46 @@ def run_simulation(
             theory.append(mse_row(mset, e, *optimal_m(mset)))
     kernel_rows = [(bd.estimator, bd.m1, bd.m2) for bd in theory]
 
+    block = _BLOCK if mset.census else max(1, min(_BLOCK, _BLOCK_UNITS // design.total))
+    threads = _thread_count(workers, -(-R // block))
     values = [a.T.copy() for a in micro.arrays]  # (3, N_h) per stratum
     try:
         out = np.empty((len(kernel_rows), R))
     except (MemoryError, ValueError):  # beyond memory or numpy's largest array
         raise InputError(f"replication count R = {R} is too large to hold in memory") from None
-    block = _BLOCK if mset.census else max(1, min(_BLOCK, _BLOCK_UNITS // design.total))
-    for lo in range(0, R, block):
-        hi = min(lo + block, R)
-        if mset.census:  # sample_statistics returns the population, unread
-            picks = [np.empty((hi - lo, 0), dtype=np.intp)] * len(values)
-        else:
-            picks = _draw_indices(master_seed, range(lo, hi), micro.sizes, design.n)
-        means, b1, b2 = sample_statistics(pop, design, values, picks)
-        out[:, lo:hi] = estimate_rows(kernel_rows, *means, xbar, zbar, b1, b2)
+    # the kernel's lazy caches are filled before any helper starts: moment_set
+    # filled pop.weights and pop._columns, and this fills the draw's constants
+    if not mset.census:
+        _draw_columns(micro.sizes, design.n)
+    starts, lock, errors = iter(range(0, R, block)), threading.Lock(), []
+
+    def run_blocks() -> None:
+        # each block writes only its own columns of out; a thread stops taking
+        # blocks once any thread has failed
+        try:
+            while not errors:
+                with lock:
+                    lo = next(starts, None)
+                if lo is None:
+                    return
+                hi = min(lo + block, R)
+                if mset.census:  # sample_statistics returns the population, unread
+                    picks = [np.empty((hi - lo, 0), dtype=np.intp)] * len(values)
+                else:
+                    picks = _draw_indices(master_seed, range(lo, hi), micro.sizes, design.n)
+                means, b1, b2 = sample_statistics(pop, design, values, picks)
+                out[:, lo:hi] = estimate_rows(kernel_rows, *means, xbar, zbar, b1, b2)
+        except BaseException as exc:  # raised below, once every thread is joined
+            errors.append(exc)
+
+    helpers = [threading.Thread(target=run_blocks, daemon=True) for _ in range(threads - 1)]
+    for t in helpers:
+        t.start()
+    run_blocks()
+    for t in helpers:
+        t.join()
+    if errors:
+        raise errors[0]
 
     rows = []
     failures = []

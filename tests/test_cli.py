@@ -222,6 +222,15 @@ def test_simulate_rejects_a_repeated_estimator(config_file, capsys):
     assert captured.err == "error: repeated estimator 'exp_regression'\n"
 
 
+def test_simulate_rejects_a_worker_count_below_one(config_file, capsys):
+    for workers in ("0", "-5"):
+        assert main(["simulate", "--input", config_file, "--design", "6,9", "--R", "5",
+                     "--workers", workers]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: worker count must be an integer >= 1, got {workers}\n"
+
+
 def test_simulate_rejects_invalid_tuning_that_no_row_reads(config_file, capsys):
     for flags, message in ((["--m1", "nan", "--m2", "1"], "m1 must be finite, got nan"),
                            (["--m1", "1", "--m2", "inf"], "m2 must be finite, got inf")):

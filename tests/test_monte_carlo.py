@@ -1,8 +1,12 @@
 """Population generation, SRSWOR draws and the replication harness."""
 import dataclasses
 import hashlib
+import itertools
 import json
 import math
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -475,6 +479,96 @@ def test_reports_do_not_depend_on_the_block_size(small_population, monkeypatch):
     assert run_simulation(micro, design, R=300, master_seed=4) == want
 
 
+def _usable_cpus(monkeypatch, count):
+    """Make count CPUs usable, so that threads run even on a one-CPU host."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
+
+
+def test_thread_count_is_workers_capped_by_usable_cpus_and_blocks(monkeypatch):
+    _usable_cpus(monkeypatch, 4)
+    assert monte_carlo._thread_count(10 ** 6, 100) == 4
+    assert monte_carlo._thread_count(10 ** 6, 3) == 3
+    assert monte_carlo._thread_count(2, 100) == 2
+    assert monte_carlo._thread_count(1, 100) == 1
+    # without an affinity mask the CPU count serves, and 1 when it is unknown
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert monte_carlo._thread_count(10 ** 6, 100) == 4
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert monte_carlo._thread_count(10 ** 6, 100) == 1
+
+
+@pytest.mark.parametrize("workers", [0, -5, True, False, 2.5, "2", None])
+def test_worker_count_must_be_an_integer_of_at_least_one(small_population, workers):
+    with pytest.raises(InputError, match="^worker count must be an integer >= 1, got "):
+        run_simulation(small_population[0], SampleDesign(n=(6, 9)), R=5, master_seed=1,
+                       workers=workers)
+
+
+def test_threads_give_the_serial_report_for_every_block_shape(small_population, monkeypatch):
+    _usable_cpus(monkeypatch, 4)
+    micro, _ = small_population
+    design, census = SampleDesign(n=(6, 9)), SampleDesign(n=(40, 60))
+    R = 3 * monte_carlo._BLOCK + 5  # three full blocks and a short tail
+    want = run_simulation(micro, design, R=R, master_seed=9)
+    want_census = run_simulation(micro, census, R=R, master_seed=9)
+    for workers in (1, 2, 4):
+        assert run_simulation(micro, design, R=R, master_seed=9, workers=workers) == want
+    for block in (1, 7, 384):
+        monkeypatch.setattr(monte_carlo, "_BLOCK", block)
+        assert run_simulation(micro, design, R=R, master_seed=9, workers=4) == want
+        assert run_simulation(micro, census, R=R, master_seed=9, workers=4) == want_census
+    # a design sampling more than _BLOCK_UNITS units runs one replicate a block
+    monkeypatch.setattr(monte_carlo, "_BLOCK_UNITS", 10)
+    assert run_simulation(micro, design, R=R, master_seed=9, workers=4) == want
+
+
+def test_threads_take_every_block_once_and_run_blocks_at_once(small_population, monkeypatch):
+    # more threads than this host has CPUs, switching as often as they can:
+    # a lost update of the shared block iterator would skip or repeat a block
+    _usable_cpus(monkeypatch, 8)
+    monkeypatch.setattr(monte_carlo, "_BLOCK", 7)
+    micro, _ = small_population
+    design = SampleDesign(n=(6, 9))
+    want = run_simulation(micro, design, R=500, master_seed=11)
+    starts, calls, both = [], itertools.count(), threading.Barrier(2, timeout=30)
+    draw = monte_carlo._draw_indices
+
+    def recording(master_seed, streams, sizes, n):
+        starts.append(streams[0])
+        if next(calls) < 2:  # the first two blocks wait for each other
+            both.wait()
+        return draw(master_seed, streams, sizes, n)
+
+    monkeypatch.setattr(monte_carlo, "_draw_indices", recording)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = run_simulation(micro, design, R=500, master_seed=11, workers=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
+    assert sorted(starts) == list(range(0, 500, 7))
+
+
+def test_a_failing_block_fails_the_run_once_every_thread_is_joined(small_population,
+                                                                  monkeypatch):
+    _usable_cpus(monkeypatch, 4)
+    calls, real = itertools.count(), monte_carlo.sample_statistics
+
+    def failing(*args):
+        if next(calls) == 2:
+            raise RuntimeError("third block")
+        return real(*args)
+
+    monkeypatch.setattr(monte_carlo, "sample_statistics", failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="third block"):
+        run_simulation(small_population[0], SampleDesign(n=(6, 9)),
+                       R=20 * monte_carlo._BLOCK, master_seed=2, workers=4)
+    assert threading.active_count() == before
+
+
 def test_simulator_draws_the_samples_draw_sample_draws(small_population, monkeypatch):
     # every replicate, across a block boundary, is the draw_sample draw
     micro, _ = small_population
@@ -650,10 +744,10 @@ def test_rel_gap_definition(small_population):
 
 
 def test_gate3_simulation_peak_memory_stays_under_the_guard():
-    # acceptance 3's population, design and estimators at R = 10 000, as the
-    # benchmark's mc-small-strata runs them: 1.4 MB traced at blocks of 256
-    # and 2.25 MB at 512, so larger blocks or a kernel that keeps more
-    # block-sized temporaries alive fail here before they show in peak RSS
+    # acceptance 3's population, design and estimators at R = 10 000, on one
+    # thread: 1.75 MB traced at blocks of 384 and 2.25 MB at 512, so larger
+    # blocks or a kernel that keeps more block-sized temporaries alive fail
+    # here before they show in peak RSS
     micro, _ = generate_population(PopulationConfig(strata=tuple(
         _stratum(N=N, mean_y=y, mean_x=x, mean_z=z, sd_y=y / 4, sd_x=x / 4, sd_z=z / 4)
         for N, y, x, z in ((200, 50.0, 80.0, 60.0), (300, 55.0, 90.0, 66.0),
@@ -667,3 +761,23 @@ def test_gate3_simulation_peak_memory_stays_under_the_guard():
     finally:
         tracemalloc.stop()
     assert peak < 2.0e6, peak
+
+
+def test_gate3_simulation_peak_memory_on_two_threads_stays_under_twice_the_guard(
+        monkeypatch):
+    # the run above on two threads, each holding one block's arrays at a time:
+    # 2.9 MB traced at blocks of 384
+    _usable_cpus(monkeypatch, 2)
+    micro, _ = generate_population(PopulationConfig(strata=tuple(
+        _stratum(N=N, mean_y=y, mean_x=x, mean_z=z, sd_y=y / 4, sd_x=x / 4, sd_z=z / 4)
+        for N, y, x, z in ((200, 50.0, 80.0, 60.0), (300, 55.0, 90.0, 66.0),
+                           (500, 60.0, 100.0, 72.0))), seed=7))
+    tracemalloc.start()
+    try:
+        run_simulation(micro, SampleDesign(n=(20, 30, 50)), R=10_000, master_seed=2026,
+                       estimators=("mean", "ratio", "exp_ratio_x", "exp_ratio_xz",
+                                   "regression", "exp_regression"), workers=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.0e6, peak
