@@ -447,6 +447,10 @@ def _lines(text: str) -> Iterator[str]:
 
 # (i, j) column pairs of the squared deviations and the cross products
 _PRODUCTS = ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))
+# values _exact_parts takes at once: 128 KB arrays, which stay in cache
+_EXACT_GROUP = 1 << 14
+# floats a running exact total keeps before _fold compresses them
+_FOLD_LIMIT = 64
 
 
 def summarize(micro: Microdata) -> PopulationSummary:
@@ -456,28 +460,78 @@ def summarize(micro: Microdata) -> PopulationSummary:
     Covariance and correlation pairs are consistent by construction, so the
     result needs no reconciliation. Means, deviations and their products are
     a pure-Python two-pass loop's IEEE operations, done elementwise in numpy,
-    and every sum has math.fsum's correctly rounded bits (_exact_sum), so the
+    and every sum has math.fsum's correctly rounded bits (_exact_parts), so the
     summaries are bit-identical to that loop.
     """
     return micro.summary
 
 
 def _exact_sum(a) -> float:
-    """math.fsum(a.tolist()) of a 1-D float64 array, bit for bit, by error-free
-    extraction (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31(1), 2008): for
-    sigma = 2^k >= 2n*max|a|, q = (sigma + a) - sigma and a - q are exact, and
-    q.sum() is exact in any order (multiples of ulp(sigma)/2, below sigma)."""
-    parts = []
-    while len(a) > 64:
-        top = float(abs(a).max())
-        if not 2.0 ** -960 < top < 2.0 ** 960:  # inf, nan or subnormal tails: fsum
-            break
-        sigma = math.ldexp(1.0, math.frexp(len(a) * top)[1] + 1)
-        q = (sigma + a) - sigma
-        parts.append(float(q.sum()))
-        a = a - q
-        a = a[a != 0.0]
-    return math.fsum(parts + a.tolist())
+    """math.fsum(a.tolist()) of a 1-D float64 array, bit for bit: the sum of
+    its _exact_parts."""
+    return math.fsum(_exact_parts(a[None])[0])
+
+
+def _exact_parts(a) -> list[list[float]]:
+    """Each row of a 2-D float64 array as a few floats whose exact sum is the
+    row's, so that math.fsum of them has the bits of math.fsum(row.tolist()),
+    and so does math.fsum of the floats of all pieces of a row. By error-free
+    extraction (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31(1), 2008), rows
+    at once, as many as fit in _EXACT_GROUP values (they stay in cache): for
+    sigma = 2^k >= 2n*max|a| over rows of n values, q = (sigma + a) - sigma
+    and a - q are exact, and each row's q.sum() is exact in any order
+    (multiples of ulp(sigma)/2, below sigma). A row leaves with its nonzero
+    remainders once its max|a| is outside (2^-960, 2^960): 0, inf, nan or
+    subnormal tails, which math.fsum takes as they are; rows of at most 64
+    values are their own parts."""
+    import numpy as np
+    n = a.shape[1]
+    if n <= 64:
+        return a.tolist()
+    group = max(1, _EXACT_GROUP // n)
+    if len(a) > group:
+        return [p for lo in range(0, len(a), group) for p in _exact_parts(a[lo:lo + group])]
+    parts = [[] for _ in range(len(a))]
+    live = list(range(len(a)))
+    while True:
+        tops = np.abs(a).max(axis=1).tolist()
+        keep = [2.0 ** -960 < top < 2.0 ** 960 for top in tops]
+        if not all(keep):
+            for i, top in enumerate(tops):
+                if not keep[i] and top != 0.0:
+                    row = a[i]
+                    parts[live[i]] += row[row != 0.0].tolist()
+            if not any(keep):
+                return parts
+            a = a[keep]
+            live = [x for x, k in zip(live, keep) if k]
+            tops = [x for x, k in zip(tops, keep) if k]
+        sigma = math.ldexp(1.0, math.frexp(n * max(tops))[1] + 1)
+        q = sigma + a
+        q -= sigma
+        for row, s in zip(live, q.sum(axis=1).tolist()):
+            parts[row].append(s)
+        a = np.subtract(a, q, out=q)
+
+
+def _fold(partials: list[float], values: list[float]) -> None:
+    """Add values to partials, a running exact total kept as floats whose
+    exact sum is the total. Past _FOLD_LIMIT floats, partials become a few
+    floats with the same exact sum: each is math.fsum's correctly rounded
+    remainder of the ones before it (Shewchuk, Discrete Comput. Geom. 18,
+    1997), so there are at most about 40, and math.fsum of them is the
+    total's. An inf or nan total (or math.fsum's error) is math.fsum's and
+    is kept alone."""
+    partials += values
+    if len(partials) <= _FOLD_LIMIT:
+        return
+    terms = partials[:]
+    partials.clear()
+    while (total := math.fsum(terms)) != 0.0:
+        partials.append(total)
+        if not math.isfinite(total):
+            return
+        terms.append(-total)
 
 
 def _summarize(micro: Microdata) -> PopulationSummary:
@@ -490,9 +544,12 @@ def _summarize(micro: Microdata) -> PopulationSummary:
             if big > MAX_MAGNITUDE:
                 raise InputError(
                     f"stratum {label!r}: a value of {name} is beyond +-{MAX_MAGNITUDE:g}")
-        means = [_exact_sum(c) / N for c in cols]
+        means = [math.fsum(p) / N for p in _exact_parts(cols)]
         devs = cols - np.array(means)[:, None]
-        sums = [_exact_sum(devs[i] * devs[j]) / (N - 1) for i, j in _PRODUCTS]
+        products = np.empty((len(_PRODUCTS), N))
+        for k, (i, j) in enumerate(_PRODUCTS):
+            np.multiply(devs[i], devs[j], out=products[k])
+        sums = [math.fsum(p) / (N - 1) for p in _exact_parts(products)]
         sd = [math.sqrt(v) for v in sums[:3]]
         for name, s in zip(("y", "x", "z"), sd):
             if s == 0.0:

@@ -68,11 +68,11 @@ def sample_statistics(
         means += w * m
         if n_h >= 2:
             sample -= m[..., None]  # in place: out of place took up to twice as long
-            dy, dx, dz = sample
-            for k, (a, b) in enumerate(((dy, dx), (dx, dx), (dy, dz), (dz, dz))):
-                np.einsum("bn,bn->b", a, b, out=products[k])
+            for k, (i, j) in enumerate(((0, 1), (1, 1), (0, 2), (2, 2))):  # (y, x, z) pairs
+                np.einsum("bn,bn->b", sample[i], sample[j], out=products[k])
             products *= w ** 2 * f / (n_h - 1)
             sums += products
+        del sample  # the next stratum's gather does not meet this one
     den = sums[1::2]
     b1, b2 = np.divide(sums[::2], den, out=np.full_like(den, np.nan), where=den != 0.0)
     return means, b1, b2

@@ -12,9 +12,11 @@ change between versions (NEP 19). Replicate r reads its own counter blocks
 of stream 0, maps each word to a range by Lemire's multiply-shift and
 selects each stratum's sample by Floyd's algorithm, never O(N_h) per
 stratum (see _draw_indices); population synthesis for stratum h uses stream
-2^63 + h. Reports depend neither on the block size nor on the worker
-count, nor on which thread runs which block, and any replicate can be
-re-drawn alone with draw_sample.
+2^63 + h. Each block of replicates is reduced to exact partial sums as it
+ends (data_model._exact_parts and _fold), so a run's memory does not grow
+with R. Reports depend neither on the block size nor on the worker count,
+nor on which thread runs which block, and any replicate can be re-drawn
+alone with draw_sample.
 Contract v1 ("philox4x64") took rng.permutation(N_h)[:n_h] per stratum
 and v2 ("philox4x64-floyd") one rng.integers call per replicate under the
 key (master_seed, r); each selects other samples than v3.
@@ -39,7 +41,8 @@ from .data_model import (
     SampleDesign,
     StratifiedSample,
     ValidationError,
-    _exact_sum,
+    _exact_parts,
+    _fold,
     check_number,
     check_record,
     decode_json,
@@ -56,8 +59,10 @@ GENERATOR_NAME = "philox4x64-lemire-floyd"
 # replicates per simulation block, fewer when that many would sample more
 # than _BLOCK_UNITS units: bounds the kernel's memory per thread; results do
 # not depend on it
-_BLOCK = 384
-_BLOCK_UNITS = 1 << 16
+_BLOCK = 768
+_BLOCK_UNITS = 1 << 17
+# the largest replication count: every count up to it is an exact float divisor
+_MAX_R = 2 ** 53
 
 # a run fails when any estimator's non-finite replication share exceeds this
 NONFINITE_LIMIT = 0.001
@@ -165,6 +170,7 @@ def _draw_indices(
     bitgen.advance((streams[0] & _MASK64) * C)
     words = bitgen.random_raw(len(streams) * 4 * C).reshape(len(streams), 4 * C)
     t = _lemire(words[:, :len(k)], highs).astype(base.dtype)
+    del words  # _lemire mapped the words in place; the sort does not need them
     _floyd_select(t, k, top, base)
     return [t[:, end - n_h:end] for end, n_h in zip(ends, n)]
 
@@ -175,17 +181,20 @@ def _lemire(words: np.ndarray, highs: np.ndarray) -> np.ndarray:
     and every high < 2^32 it is (w1·high + (w0·high >> 32)) >> 32, whose sum
     cannot overflow; otherwise it is summed from 32-bit limbs of w and high.
     No rejection: each value takes floor(2^64 / high) words or one more, so
-    a draw is within high / 2^64 of uniform (under 6e-14 at high = 1e6)."""
+    a draw is within high / 2^64 of uniform (under 6e-14 at high = 1e6).
+    With every high < 2^32 it overwrites words: they are mapped in place
+    and returned, which saves a block-sized array per draw."""
     low, shift = np.uint64(0xFFFFFFFF), np.uint64(32)
-    w1 = words >> shift
     if highs.max() > low:
         w0, h1, h0 = words & low, highs >> shift, highs & low
+        w1 = words >> shift
         cross1, cross0 = w1 * h0, w0 * h1
         carry = ((w0 * h0) >> shift) + (cross1 & low) + (cross0 & low)
         return w1 * h1 + (cross1 >> shift) + (cross0 >> shift) + (carry >> shift)
     w0 = words & low
     w0 *= highs
     w0 >>= shift
+    w1 = np.right_shift(words, shift, out=words)
     w1 *= highs
     w1 += w0
     w1 >>= shift
@@ -341,11 +350,16 @@ def run_simulation(
     counted per estimator and excluded from the averages; a share above
     NONFINITE_LIMIT fails the run. Replicates run in blocks of at most
     _BLOCK, on _thread_count(workers, blocks) threads, the caller's among
-    them; each thread holds one block's arrays at a time. The report is the
-    same for every worker count.
+    them; each thread holds one block's arrays at a time and folds the
+    block's sums into its own exact partials as the block ends, so memory
+    does not grow with R (at most _MAX_R = 2^53). The emp_mean and emp_mse
+    sums are correctly rounded, so the report is the same for every worker
+    count and block size.
     """
     if R < 1:
         raise InputError(f"replication count must be >= 1, got {R}")
+    if R > _MAX_R:
+        raise InputError(f"replication count R = {R} is too large: the limit is 2^53")
     check_number("m1", m1)  # even when no requested row reads them
     check_number("m2", m2)
     design.check_against(micro.sizes)
@@ -375,32 +389,49 @@ def run_simulation(
     block = _BLOCK if mset.census else max(1, min(_BLOCK, _BLOCK_UNITS // design.total))
     threads = _thread_count(workers, -(-R // block))
     values = [a.T.copy() for a in micro.arrays]  # (3, N_h) per stratum
-    try:
-        out = np.empty((len(kernel_rows), R))
-    except (MemoryError, ValueError):  # beyond memory or numpy's largest array
-        raise InputError(f"replication count R = {R} is too large to hold in memory") from None
     # the kernel's lazy caches are filled before any helper starts: moment_set
     # filled pop.weights and pop._columns, and this fills the draw's constants
     if not mset.census:
         _draw_columns(micro.sizes, design.n)
-    starts, lock, errors = iter(range(0, R, block)), threading.Lock(), []
+    starts, lock, errors, totals = iter(range(0, R, block)), threading.Lock(), [], []
+
+    def block_sums(lo: int, hi: int) -> tuple[np.ndarray, list[list[float]]]:
+        """Replicates lo..hi-1: each row's count of finite estimates, and the
+        exact parts of the sum of its finite estimates t, then of their
+        (t - ybar)^2. Its arrays go when it returns."""
+        if mset.census:  # sample_statistics returns the population, unread
+            picks = [np.empty((hi - lo, 0), dtype=np.intp)] * len(values)
+        else:
+            picks = _draw_indices(master_seed, range(lo, hi), micro.sizes, design.n)
+        means, b1, b2 = sample_statistics(pop, design, values, picks)
+        del picks
+        est = estimate_rows(kernel_rows, *means, xbar, zbar, b1, b2)
+        terms = np.empty((2, *est.shape))
+        terms[0] = est
+        np.subtract(est, ybar, out=terms[1])
+        np.square(terms[1], out=terms[1])
+        finite = np.isfinite(est)
+        if not finite.all():  # a non-finite estimate adds 0.0, which changes no exact sum
+            terms[:, ~finite] = 0.0
+        return finite.sum(axis=1), _exact_parts(terms.reshape(-1, hi - lo))
 
     def run_blocks() -> None:
-        # each block writes only its own columns of out; a thread stops taking
-        # blocks once any thread has failed
+        # a thread's totals: per row, its count of finite estimates, and the
+        # exact partials of the row's two sums; a thread stops taking blocks
+        # once any thread has failed
+        finite_counts = np.zeros(len(kernel_rows), dtype=np.int64)
+        partials = [[] for _ in range(2 * len(kernel_rows))]
+        totals.append((finite_counts, partials))
         try:
             while not errors:
                 with lock:
                     lo = next(starts, None)
                 if lo is None:
                     return
-                hi = min(lo + block, R)
-                if mset.census:  # sample_statistics returns the population, unread
-                    picks = [np.empty((hi - lo, 0), dtype=np.intp)] * len(values)
-                else:
-                    picks = _draw_indices(master_seed, range(lo, hi), micro.sizes, design.n)
-                means, b1, b2 = sample_statistics(pop, design, values, picks)
-                out[:, lo:hi] = estimate_rows(kernel_rows, *means, xbar, zbar, b1, b2)
+                counts, parts = block_sums(lo, min(lo + block, R))
+                finite_counts += counts
+                for p, new in zip(partials, parts):
+                    _fold(p, new)
         except BaseException as exc:  # raised below, once every thread is joined
             errors.append(exc)
 
@@ -413,16 +444,18 @@ def run_simulation(
     if errors:
         raise errors[0]
 
+    counts = sum(c for c, _ in totals).tolist()
     rows = []
     failures = []
     for j, (label, bd) in enumerate(zip(labels, theory)):
-        vals = out[j][np.isfinite(out[j])]
-        bad = R - len(vals)
+        n, bad = counts[j], R - counts[j]
         if bad > NONFINITE_LIMIT * R:  # the run fails, so the row's sums go unread
             failures.append(f"{label}: {bad}/{R} non-finite")
             continue
-        emp_mean = _exact_sum(vals) / len(vals)
-        emp_mse = _exact_sum(np.square(vals - ybar)) / len(vals)
+        # math.fsum of every thread's exact partials: each sum correctly
+        # rounded, whichever thread ran which block
+        emp_mean = math.fsum(x for _, p in totals for x in p[j]) / n
+        emp_mse = math.fsum(x for _, p in totals for x in p[len(kernel_rows) + j]) / n
         rel_gap = (emp_mse - bd.mse) / bd.mse if bd.mse != 0.0 else math.nan
         rows.append(
             SimRow(

@@ -514,6 +514,18 @@ def test_oversized_replication_count_exits_2(config_file, capsys):
     assert f"error: replication count R = {R} is too large" in capsys.readouterr().err
 
 
+def test_replication_count_past_2_to_the_53_exits_2_before_any_block_or_thread(
+        config_file, capsys, monkeypatch):
+    started = []
+    monkeypatch.setattr(monte_carlo, "_draw_indices", lambda *a: started.append("block"))
+    monkeypatch.setattr(monte_carlo.threading, "Thread", lambda **k: started.append("thread"))
+    R = 2 ** 53 + 1
+    assert main(["simulate", "--input", config_file, "--design", "6,9",
+                 "--R", str(R), "--estimators", "mean", "--workers", "2"]) == 2
+    assert f"error: replication count R = {R} is too large" in capsys.readouterr().err
+    assert started == []
+
+
 @pytest.mark.parametrize("N", [10 ** 17, 10 ** 20])
 def test_oversized_generator_stratum_exits_2(tmp_path, capsys, N):
     # 24 bytes per unit: beyond any address space (10**17) and beyond

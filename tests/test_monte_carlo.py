@@ -256,10 +256,11 @@ def test_lemire_map_is_the_exact_high_product(high):
     words = np.random.default_rng(high % 1000).integers(
         0, 2 ** 64, size=500, dtype=np.uint64)
     words[:2] = 0, _MASK64
+    before = words.copy()  # _lemire may map the words in place
     got = monte_carlo._lemire(words[None, :], np.full(500, high, dtype=np.uint64))
     assert got.shape == (1, 500)
     assert got[0, 0] == 0 and got[0, 1] == high - 1
-    assert got.ravel().tolist() == [(w * high) >> 64 for w in words.tolist()]
+    assert got.ravel().tolist() == [(w * high) >> 64 for w in before.tolist()]
 
 
 def test_lemire_map_takes_the_wide_form_for_one_wide_high():
@@ -781,3 +782,71 @@ def test_gate3_simulation_peak_memory_on_two_threads_stays_under_twice_the_guard
     finally:
         tracemalloc.stop()
     assert peak < 4.0e6, peak
+
+
+def test_gate3_simulation_peak_memory_does_not_grow_with_the_replication_count():
+    # the first guard's run at R = 100 000: every block is reduced to exact
+    # partials as it ends, so no array grows with R (1.7 MB traced at blocks
+    # of 768, against 8.9 MB when the run kept every replicate's estimate)
+    micro, _ = generate_population(PopulationConfig(strata=tuple(
+        _stratum(N=N, mean_y=y, mean_x=x, mean_z=z, sd_y=y / 4, sd_x=x / 4, sd_z=z / 4)
+        for N, y, x, z in ((200, 50.0, 80.0, 60.0), (300, 55.0, 90.0, 66.0),
+                           (500, 60.0, 100.0, 72.0))), seed=7))
+    tracemalloc.start()
+    try:
+        run_simulation(micro, SampleDesign(n=(20, 30, 50)), R=100_000, master_seed=2026,
+                       estimators=("mean", "ratio", "exp_ratio_x", "exp_ratio_xz",
+                                   "regression", "exp_regression"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.0e6, peak
+
+
+def test_replication_count_is_capped_at_2_to_the_53(small_population, monkeypatch):
+    # past 2^53 a count is no longer an exact float divisor; the cap is
+    # checked before any block or thread starts, and 2^53 itself runs
+    micro, _ = small_population
+    design = SampleDesign(n=(6, 9))
+
+    class FirstBlock(Exception):
+        pass
+
+    def first_block(*args):
+        raise FirstBlock
+
+    monkeypatch.setattr(monte_carlo, "_draw_indices", first_block)
+    with pytest.raises(InputError, match=r"^replication count R = 9007199254740993 is too large"):
+        run_simulation(micro, design, R=2 ** 53 + 1, master_seed=1)
+    with pytest.raises(FirstBlock):
+        run_simulation(micro, design, R=2 ** 53, master_seed=1)
+
+
+def test_non_finite_estimates_are_left_out_of_every_sum(small_population, monkeypatch):
+    # a few non-finite estimates under the limit: each row's emp_mean and
+    # emp_mse are math.fsum over its finite estimates, bit for bit, and its
+    # nonfinite count is the rest, on any block shape and thread count
+    _usable_cpus(monkeypatch, 2)
+    micro, _ = small_population
+    design, R = SampleDesign(n=(6, 9)), 2000
+    real = monte_carlo.estimate_rows
+    for block, workers in ((monte_carlo._BLOCK, 1), (7, 2)):
+        seen, calls = [], itertools.count()
+
+        def spoiled(*args):
+            out = real(*args)
+            if next(calls) == 0:  # the first block, whichever thread runs it
+                out[0, 0], out[1, 3], out[1, 4] = math.inf, math.nan, -math.inf
+            seen.append(out.copy())
+            return out
+
+        monkeypatch.setattr(monte_carlo, "estimate_rows", spoiled)
+        monkeypatch.setattr(monte_carlo, "_BLOCK", block)
+        report = run_simulation(micro, design, R=R, master_seed=4,
+                                estimators=("mean", "ratio"), workers=workers)
+        est = np.concatenate(seen, axis=1)
+        for j, row in enumerate(report.rows):
+            vals = est[j][np.isfinite(est[j])]
+            assert row.nonfinite == R - len(vals) == (1, 2)[j]
+            assert row.emp_mean == math.fsum(vals.tolist()) / len(vals)
+            assert row.emp_mse == math.fsum(np.square(vals - report.ybar).tolist()) / len(vals)

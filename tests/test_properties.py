@@ -20,9 +20,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from strataux import embedded_kk2009, summary_to_json
+from strataux import data_model, embedded_kk2009, summary_to_json
 from strataux.cli import main
-from strataux.data_model import _exact_sum
+from strataux.data_model import _exact_parts, _exact_sum, _fold
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                              database=None)
@@ -251,3 +251,68 @@ def _outcome(total, a):
 @given(a=float_arrays())
 def test_exact_sum_is_bitwise_fsum(a):
     assert _outcome(_exact_sum, a) == _outcome(lambda v: math.fsum(v.tolist()), a)
+
+
+@st.composite
+def block_rows(draw):
+    """Rows of replicate estimates as the simulator reduces them: up to four
+    rows of at most 400 values, each row of one kind (exponents spread up to
+    +-40, all zeros of both signs, values past 2^960 or under 2^-960, one
+    sign in one binade, exact x, -x cancellations), with inf and nan
+    sprinkled in; magnitudes stay where no sum of a row can overflow."""
+    rows, n = draw(st.integers(1, 4)), draw(st.integers(0, 400))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    a = rng.standard_normal((rows, n)) * np.exp2(rng.integers(-40, 41, (rows, n)))
+    for row in a:
+        kind = draw(st.integers(0, 5))
+        if kind == 1:
+            row[:] = rng.choice([0.0, -0.0], n)
+        elif kind == 2:  # past 2^960: the row goes to fsum as it is
+            row[:] = rng.standard_normal(n) * 2.0 ** draw(st.sampled_from([961, 980, 990]))
+        elif kind == 3:  # under 2^-960, subnormals among them
+            row *= 2.0 ** draw(st.sampled_from([-961, -1000, -1040]))
+        elif kind == 4:
+            row[:] = rng.uniform(1.0, 2.0, n) * 2.0 ** draw(st.integers(-300, 300))
+        elif kind == 5:
+            half = row[: n // 2].copy()
+            row[: 2 * len(half)] = np.concatenate([half, -half])
+            rng.shuffle(row)
+    for _ in range(draw(st.integers(0, 3))):
+        if n:
+            a[rng.integers(rows), rng.integers(n)] = draw(
+                st.sampled_from([math.inf, -math.inf, math.nan]))
+    return a
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(a=block_rows(), data=st.data())
+def test_exact_parts_folded_in_any_blocks_and_order_are_bitwise_fsum(a, data):
+    # the simulator's reduction: each block of columns, its non-finite
+    # estimates replaced by 0.0, goes through _exact_parts, and a thread
+    # folds a block's parts into its partials; blocks go to threads in any
+    # order, and math.fsum of every thread's partials is each row's sum
+    n = a.shape[1]
+    cuts = sorted(data.draw(st.lists(st.integers(0, n), max_size=8)))
+    blocks = list(zip([0] + cuts, cuts + [n]))
+    order = data.draw(st.permutations(range(len(blocks))))
+    threads = data.draw(st.lists(st.integers(0, 2), min_size=len(blocks),
+                                 max_size=len(blocks)))
+    partials = [[[] for _ in a] for _ in range(3)]
+    group, limit = data_model._EXACT_GROUP, data_model._FOLD_LIMIT
+    # rows go through _exact_parts together or in groups down to one row
+    # each, and _fold compresses a thread's partials at every call or rarely
+    data_model._EXACT_GROUP = data.draw(st.sampled_from([group, 200, 1]))
+    data_model._FOLD_LIMIT = data.draw(st.sampled_from([limit, 0]))
+    try:
+        for k, thread in zip(order, threads):
+            lo, hi = blocks[k]
+            block = a[:, lo:hi]
+            terms = np.where(np.isfinite(block), block, 0.0)
+            for p, new in zip(partials[thread], _exact_parts(terms)):
+                _fold(p, new)
+    finally:
+        data_model._EXACT_GROUP, data_model._FOLD_LIMIT = group, limit
+    for j, row in enumerate(a):
+        got = math.fsum(x for thread in partials for x in thread[j])
+        want = math.fsum(row[np.isfinite(row)].tolist())
+        assert struct.pack("<d", got) == struct.pack("<d", want)
