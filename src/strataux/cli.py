@@ -20,6 +20,7 @@ from dataclasses import asdict, astuple, fields
 from typing import Optional, Sequence
 
 from .data_model import (
+    _POLICIES,
     InputError,
     Microdata,
     NumericalError,
@@ -36,15 +37,12 @@ from .moments import MomentSet, moment_set
 from .mse_theory import ESTIMATOR_ORDER, FAMILY, mse_row, optimal_m, tp_diagnostics
 
 _FORMATS = ("text", "csv", "json")
-_POLICIES = ("prefer-correlation", "prefer-covariance", "strict")
 _FORMULAS = "implemented (as-printed variants appear only under diagnostics)"
 
 
 def _fmt(v) -> str:
     if v is None:
         return "-"
-    if isinstance(v, bool):
-        return str(v)
     if isinstance(v, float):
         return f"{v:.6g}"
     return str(v)
@@ -107,12 +105,14 @@ def _emit(args, body: dict, header: list[str], rows: list[list], footer: dict,
     return 0
 
 
-def _read_file(path: str) -> str:
+def _read_input(path: str) -> tuple[str, bool]:
+    """The text of an --input file, and whether it is a JSON document."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
+            text = fh.read()
     except (OSError, UnicodeDecodeError) as e:
         raise InputError(f"cannot read {path}: {e}") from None
+    return text, text.lstrip().startswith("{")
 
 
 def _parse_design(text: str) -> SampleDesign:
@@ -128,11 +128,8 @@ def _parse_design(text: str) -> SampleDesign:
 def _theory_input(args) -> tuple[MomentSet, dict]:
     """The --design MomentSet of --input (microdata csv or summary json)
     reconciled under --policy, and the footer naming both."""
-    text = _read_file(args.input)
-    if text.lstrip().startswith("{"):
-        summary = parse_summary(text)
-    else:
-        summary = summarize(parse_microdata(text))
+    text, is_json = _read_input(args.input)
+    summary = parse_summary(text) if is_json else summarize(parse_microdata(text))
     pop, report = reconcile_covariances(summary, args.policy)
     footer = {"policy": args.policy, "formulas": _FORMULAS,
               "repaired_pairs": len(report.repaired)}
@@ -190,8 +187,8 @@ def _cmd_pre(args) -> int:
 
 def _load_simulation_population(path: str) -> tuple[Microdata, tuple[str, ...]]:
     from .monte_carlo import generate_population, generator_config
-    text = _read_file(path)
-    if not text.lstrip().startswith("{"):
+    text, is_json = _read_input(path)
+    if not is_json:
         return parse_microdata(text), ()
     doc = decode_json(text, "generator config")
     strata = doc.get("strata")
@@ -276,13 +273,18 @@ def _cmd_reproduce(args) -> int:
                  before=["PRE reproduction, embedded six-stratum dataset"], after=after)
 
 
-def _add_common(p: argparse.ArgumentParser, policy: bool = False) -> None:
-    p.add_argument("--input", required=True, help="microdata csv or summary json")
-    p.add_argument("--design", required=True,
-                   help="per-stratum sample sizes, e.g. 31,21,29,38,22,39")
-    if policy:  # simulate never reconciles, so it has no policy to choose
+def _add_command(sub, name: str, help: str, func, inputs: bool = True,
+                 policy: bool = True) -> argparse.ArgumentParser:
+    p = sub.add_parser(name, help=help)
+    if inputs:
+        p.add_argument("--input", required=True, help="microdata csv or summary json")
+        p.add_argument("--design", required=True,
+                       help="per-stratum sample sizes, e.g. 31,21,29,38,22,39")
+    if policy:
         p.add_argument("--policy", choices=_POLICIES, default="prefer-correlation")
     p.add_argument("--format", choices=_FORMATS, default="text")
+    p.set_defaults(func=func)
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -292,22 +294,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("moments", help="aggregated relative moments and slopes")
-    _add_common(p, policy=True)
-    p.set_defaults(func=_cmd_moments)
+    _add_command(sub, "moments", "aggregated relative moments and slopes", _cmd_moments)
 
-    p = sub.add_parser("mse", help="first-order MSE table, optimum and diagnostics")
-    _add_common(p, policy=True)
+    p = _add_command(sub, "mse", "first-order MSE table, optimum and diagnostics", _cmd_mse)
     p.add_argument("--m1", type=float, default=None)
     p.add_argument("--m2", type=float, default=None)
-    p.set_defaults(func=_cmd_mse)
 
-    p = sub.add_parser("pre", help="percent relative efficiency table")
-    _add_common(p, policy=True)
-    p.set_defaults(func=_cmd_pre)
+    _add_command(sub, "pre", "percent relative efficiency table", _cmd_pre)
 
-    p = sub.add_parser("simulate", help="SRSWOR Monte Carlo validation")
-    _add_common(p)
+    # simulate never reconciles, so it has no policy to choose
+    p = _add_command(sub, "simulate", "SRSWOR Monte Carlo validation", _cmd_simulate,
+                     policy=False)
     p.add_argument("--R", type=int, default=1000, help="replication count")
     p.add_argument("--seed", type=int, default=0, help="master seed")
     p.add_argument("--m1", type=float, default=1.0, help="fixed tuning for exp_regression")
@@ -317,12 +314,9 @@ def build_parser() -> argparse.ArgumentParser:
                         "usable CPU (default 1); results do not depend on it")
     p.add_argument("--estimators", default="",
                    help="comma list, default all: " + ",".join(ESTIMATOR_ORDER))
-    p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("reproduce-kk2009",
-                       help="reproduce the embedded dataset's efficiency table")
-    p.add_argument("--format", choices=_FORMATS, default="text")
-    p.set_defaults(func=_cmd_reproduce)
+    _add_command(sub, "reproduce-kk2009", "reproduce the embedded dataset's efficiency table",
+                 _cmd_reproduce, inputs=False, policy=False)
 
     return parser
 

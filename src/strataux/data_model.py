@@ -39,6 +39,7 @@ RECONCILE_TOL = 0.01
 MAX_MAGNITUDE = 1e100
 
 _PAIRS = ("yx", "yz", "xz")
+_POLICIES = ("prefer-correlation", "prefer-covariance", "strict")
 
 
 class InputError(ValueError):
@@ -620,7 +621,7 @@ def reconcile_covariances(
 
     The operation is idempotent under both repairing policies.
     """
-    if policy not in ("prefer-correlation", "prefer-covariance", "strict"):
+    if policy not in _POLICIES:
         raise InputError(f"unknown reconciliation policy {policy!r}")
 
     entries: list[ReconciliationEntry] = []

@@ -21,7 +21,7 @@ from .data_model import (
     embedded_kk2009,
     reconcile_covariances,
 )
-from .moments import MomentSet, moment_set
+from .moments import MomentSet, _memo, moment_set
 from .mse_theory import (
     _NEGATIVE_MSE_WARNING, ESTIMATOR_ORDER, _quadratic, mse_classic, optimal_m, row_point,
     variance_mean,
@@ -120,14 +120,9 @@ def pre_table(m: MomentSet) -> PreReport:
     closed-form inequality, so they stay correct wherever the MSE formulas
     do. Every estimator but the plain ratio is a special case of the tuned
     form, so its gap is nonnegative by optimality; a negative ratio gap is
-    possible and flagged, not an error. Built once per MomentSet instance,
-    kept in its __dict__ (which ==, hash, repr and asdict never read); an
-    error is not kept.
+    possible and flagged, not an error. Built once per MomentSet instance (_memo).
     """
-    memo = vars(m)
-    if "_pre_report" not in memo:
-        memo["_pre_report"] = _pre_report(m)
-    return memo["_pre_report"]
+    return _memo(m, "_pre_report", _pre_report)
 
 
 def _pre_report(m: MomentSet) -> PreReport:

@@ -56,6 +56,15 @@ class MomentSet:
     warnings: tuple[str, ...] = ()
 
 
+def _memo(m: MomentSet, key: str, build):
+    """build(m), kept in vars(m) under key, which ==, hash, repr and asdict
+    never read; an error is not kept."""
+    memo = vars(m)
+    if key not in memo:
+        memo[key] = build(m)
+    return memo[key]
+
+
 def _fractions(pop: PopulationSummary, design: SampleDesign) -> list[float]:
     """f_h = 1/n_h - 1/N_h per stratum, 1/N_h read from the summary's cache."""
     c = pop._columns

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .data_model import InputError, NumericalError, check_number
-from .moments import MomentSet
+from .moments import MomentSet, _memo
 
 # Each estimator as a point of the tuned family
 #   ybar_st * exp(m1*u) * exp(m2*v) [+ b1*(Xbar - xbar_st) + b2*(Zbar - zbar_st)]
@@ -154,19 +154,22 @@ def _tp_terms(m: MomentSet, m1: float, m2: float) -> tuple[float, float, float, 
     mse = _quadratic(m, *row_point(m, "exp_regression", m1, m2))
 
     b1, b2 = _slopes(m)
-    bx = b1 * m.xbar
-    bz = b2 * m.zbar
     p1 = math.fsum(
         (0.25 * m1 * m1 * m.v020, 0.25 * m2 * m2 * m.v002,
          0.5 * m1 * m2 * m.v011, -m1 * m.v110, -m2 * m.v101)
     )
-    p2 = math.fsum((bx * bx * m.v020, bz * bz * m.v002, 2.0 * bx * bz * m.v011))
+    return mse, p1, *_slope_parts(m, m1, m2, b1 * m.xbar, b2 * m.zbar)
+
+
+def _slope_parts(m: MomentSet, m1: float, m2: float, c1: float, c2: float) -> tuple[float, float]:
+    """(p2, p3) at slope scales (c1, c2): (b1*Xbar, b2*Zbar) implemented, (b1, b2) printed."""
+    p2 = math.fsum((c1 * c1 * m.v020, c2 * c2 * m.v002, 2.0 * c1 * c2 * m.v011))
     p3 = math.fsum(
-        (2.0 * bx * m.v110, 2.0 * bz * m.v101,
-         -m1 * bx * m.v020, -m2 * bz * m.v002,
-         -m1 * bz * m.v011, -m2 * bx * m.v011)
+        (2.0 * c1 * m.v110, 2.0 * c2 * m.v101,
+         -m1 * c1 * m.v020, -m2 * c2 * m.v002,
+         -m1 * c2 * m.v011, -m2 * c1 * m.v011)
     )
-    return mse, p1, p2, p3
+    return p2, p3
 
 
 def mse_tp(m: MomentSet, m1: float, m2: float) -> MseBreakdown:
@@ -211,13 +214,9 @@ def optimal_m(m: MomentSet) -> tuple[float, float]:
     auxiliary moment matrix to be positive definite: determinant at or below
     SINGULARITY_TOL times its natural scale (collinear or degenerate
     auxiliaries), or negative (an indefinite quadratic with no interior
-    minimum), is an error. Solved once per MomentSet instance, kept in its
-    __dict__ (which ==, hash, repr and asdict never read); an error is not kept.
+    minimum), is an error. Solved once per MomentSet instance (_memo).
     """
-    memo = vars(m)
-    if "_optimum" not in memo:
-        memo["_optimum"] = _solve_optimum(m)
-    return memo["_optimum"]
+    return _memo(m, "_optimum", _solve_optimum)
 
 
 def _solve_optimum(m: MomentSet) -> tuple[float, float]:
@@ -287,14 +286,8 @@ def tp_diagnostics(m: MomentSet, m1: float, m2: float) -> TpDiagnostics:
     mse, p1, p2, p3 = _tp_terms(m, m1, m2)
     b1, b2 = _slopes(m)
     printed_p1 = p1  # the pure-exponent part carries no scale factors
-    printed_p2 = math.fsum(
-        (b1 * b1 * m.v020, b2 * b2 * m.v002, 2.0 * b1 * b2 * m.v011)
-    )
-    printed_p3 = math.fsum(
-        (-2.0 * b1 * m.v110, -2.0 * b2 * m.v101,
-         m1 * b1 * m.v020, m1 * b2 * m.v011,
-         m2 * b1 * m.v011, m2 * b2 * m.v002)
-    )
+    printed_p2, neg_p3 = _slope_parts(m, m1, m2, b1, b2)
+    printed_p3 = 0.0 - neg_p3  # exact; -neg_p3 would turn fsum's +0.0 into -0.0
     printed_mse = m.ybar ** 2 * (m.v200 + printed_p1) + printed_p2 - m.ybar * printed_p3
 
     det = m.v020 * m.v002 - m.v011 * m.v011

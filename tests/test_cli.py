@@ -507,7 +507,7 @@ def test_tuning_exponents_beyond_the_input_bound_exit_2(summary_file, config_fil
 
 
 def test_oversized_replication_count_exits_2(config_file, capsys):
-    # 8 bytes per replicate and estimator: far beyond any address space
+    # past 2^53, so its exit 2 comes from the replication count's cap
     R = 10 ** 17
     assert main(["simulate", "--input", config_file, "--design", "6,9",
                  "--R", str(R), "--estimators", "mean"]) == 2

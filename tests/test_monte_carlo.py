@@ -510,12 +510,14 @@ def test_threads_give_the_serial_report_for_every_block_shape(small_population, 
     _usable_cpus(monkeypatch, 4)
     micro, _ = small_population
     design, census = SampleDesign(n=(6, 9)), SampleDesign(n=(40, 60))
+    # blocks of 64, so that R stays small whatever the default block is
+    monkeypatch.setattr(monte_carlo, "_BLOCK", 64)
     R = 3 * monte_carlo._BLOCK + 5  # three full blocks and a short tail
     want = run_simulation(micro, design, R=R, master_seed=9)
     want_census = run_simulation(micro, census, R=R, master_seed=9)
     for workers in (1, 2, 4):
         assert run_simulation(micro, design, R=R, master_seed=9, workers=workers) == want
-    for block in (1, 7, 384):
+    for block in (1, 7, 64):
         monkeypatch.setattr(monte_carlo, "_BLOCK", block)
         assert run_simulation(micro, design, R=R, master_seed=9, workers=4) == want
         assert run_simulation(micro, census, R=R, master_seed=9, workers=4) == want_census
@@ -744,43 +746,37 @@ def test_rel_gap_definition(small_population):
     assert abs(row.rel_gap) < 0.5
 
 
-def test_gate3_simulation_peak_memory_stays_under_the_guard():
-    # acceptance 3's population, design and estimators at R = 10 000, on one
-    # thread: 1.75 MB traced at blocks of 384 and 2.25 MB at 512, so larger
-    # blocks or a kernel that keeps more block-sized temporaries alive fail
-    # here before they show in peak RSS
+def _gate3_traced_peak(R, workers=1):
+    """tracemalloc's peak over one run of acceptance 3's population, design
+    and estimators at R replicates on workers threads."""
     micro, _ = generate_population(PopulationConfig(strata=tuple(
         _stratum(N=N, mean_y=y, mean_x=x, mean_z=z, sd_y=y / 4, sd_x=x / 4, sd_z=z / 4)
         for N, y, x, z in ((200, 50.0, 80.0, 60.0), (300, 55.0, 90.0, 66.0),
                            (500, 60.0, 100.0, 72.0))), seed=7))
     tracemalloc.start()
     try:
-        run_simulation(micro, SampleDesign(n=(20, 30, 50)), R=10_000, master_seed=2026,
+        run_simulation(micro, SampleDesign(n=(20, 30, 50)), R=R, master_seed=2026,
                        estimators=("mean", "ratio", "exp_ratio_x", "exp_ratio_xz",
-                                   "regression", "exp_regression"))
-        peak = tracemalloc.get_traced_memory()[1]
+                                   "regression", "exp_regression"), workers=workers)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_gate3_simulation_peak_memory_stays_under_the_guard():
+    # acceptance 3's run at R = 10 000, on one thread: 1.69 MB traced at blocks
+    # of 768 and 2.20 MB at 1024, so larger blocks or a kernel that keeps more
+    # block-sized temporaries alive fail here before they show in peak RSS
+    peak = _gate3_traced_peak(10_000)
     assert peak < 2.0e6, peak
 
 
 def test_gate3_simulation_peak_memory_on_two_threads_stays_under_twice_the_guard(
         monkeypatch):
     # the run above on two threads, each holding one block's arrays at a time:
-    # 2.9 MB traced at blocks of 384
+    # 3.0-3.3 MB traced at blocks of 768
     _usable_cpus(monkeypatch, 2)
-    micro, _ = generate_population(PopulationConfig(strata=tuple(
-        _stratum(N=N, mean_y=y, mean_x=x, mean_z=z, sd_y=y / 4, sd_x=x / 4, sd_z=z / 4)
-        for N, y, x, z in ((200, 50.0, 80.0, 60.0), (300, 55.0, 90.0, 66.0),
-                           (500, 60.0, 100.0, 72.0))), seed=7))
-    tracemalloc.start()
-    try:
-        run_simulation(micro, SampleDesign(n=(20, 30, 50)), R=10_000, master_seed=2026,
-                       estimators=("mean", "ratio", "exp_ratio_x", "exp_ratio_xz",
-                                   "regression", "exp_regression"), workers=2)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _gate3_traced_peak(10_000, workers=2)
     assert peak < 4.0e6, peak
 
 
@@ -788,18 +784,7 @@ def test_gate3_simulation_peak_memory_does_not_grow_with_the_replication_count()
     # the first guard's run at R = 100 000: every block is reduced to exact
     # partials as it ends, so no array grows with R (1.7 MB traced at blocks
     # of 768, against 8.9 MB when the run kept every replicate's estimate)
-    micro, _ = generate_population(PopulationConfig(strata=tuple(
-        _stratum(N=N, mean_y=y, mean_x=x, mean_z=z, sd_y=y / 4, sd_x=x / 4, sd_z=z / 4)
-        for N, y, x, z in ((200, 50.0, 80.0, 60.0), (300, 55.0, 90.0, 66.0),
-                           (500, 60.0, 100.0, 72.0))), seed=7))
-    tracemalloc.start()
-    try:
-        run_simulation(micro, SampleDesign(n=(20, 30, 50)), R=100_000, master_seed=2026,
-                       estimators=("mean", "ratio", "exp_ratio_x", "exp_ratio_xz",
-                                   "regression", "exp_regression"))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = _gate3_traced_peak(100_000)
     assert peak < 2.0e6, peak
 
 
